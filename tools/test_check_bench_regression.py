@@ -5,7 +5,8 @@ Runs the checker as a subprocess (the same way ctest and CI invoke it) and
 asserts on exit codes and diagnostics: a missing or malformed input file is
 a clean usage error (exit 2, no traceback), a field mismatch or an extra
 key is a regression (exit 1), --allow-subset skips absent rows but still
-checks the rows that are present.
+checks the rows that are present, and rows whose ID keys repeat are
+compared by position.
 
 Registered as the `tooling`-labeled ctest (see the top-level
 CMakeLists.txt): ctest -L tooling.
@@ -26,6 +27,17 @@ BASELINE = {
     "rows": [
         {"requests": 100, "profit": 10.5, "accepted": 42, "wall_ms": 12.0},
         {"requests": 200, "profit": 21.25, "accepted": 77, "wall_ms": 30.0},
+    ],
+}
+
+# A per-batch trace: rows share their ID key, so only their position
+# identifies them.
+DUPLICATE_KEYS = {
+    "bench": "online",
+    "per_batch": [
+        {"arrivals": 1, "iterations": 16},
+        {"arrivals": 1, "iterations": 9},
+        {"arrivals": 1, "iterations": 14},
     ],
 }
 
@@ -142,6 +154,24 @@ class CheckBenchRegressionTest(unittest.TestCase):
         current = self.write("current.json", reordered)
         run = run_checker("--baseline", baseline, "--current", current)
         self.assertEqual(run.returncode, 0, run.stderr)
+
+    def test_duplicate_row_keys_self_compare_checks_every_row(self):
+        # Every trace row repeats its ID key (arrivals=1): a keyed join would
+        # collapse them into one row and report the rest as missing.
+        baseline = self.write("baseline.json", DUPLICATE_KEYS)
+        current = self.write("current.json", DUPLICATE_KEYS)
+        run = run_checker("--baseline", baseline, "--current", current)
+        self.assertEqual(run.returncode, 0, run.stderr)
+        self.assertIn("(7 fields checked)", run.stdout)
+
+    def test_drifted_duplicate_key_row_fails(self):
+        baseline = self.write("baseline.json", DUPLICATE_KEYS)
+        mutated = json.loads(json.dumps(DUPLICATE_KEYS))
+        mutated["per_batch"][1]["iterations"] = 10
+        current = self.write("current.json", mutated)
+        run = run_checker("--baseline", baseline, "--current", current)
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("$.per_batch[1].iterations", run.stderr)
 
     def test_requires_exactly_one_input_source(self):
         baseline = self.write("baseline.json", BASELINE)
