@@ -6,7 +6,7 @@
 // (CommittedBook entries, BatchRecord lists) is mirrored here as plain
 // structs; sim/online.cpp and sim/simulator.cpp convert through them.
 // Types that already live at or below core — workload::Request,
-// core::IncrementalState, core::Schedule, lp::SolveStats,
+// core::IncrementalState's ModelSnapshots, lp::SolveStats,
 // net::PathCache::Dump, telemetry::MetricsSnapshot — are serialized
 // directly.
 //
@@ -46,10 +46,8 @@ namespace metis::persist {
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,         ///< kind, fingerprint, replay cursors
   kSectionBatches = 2,      ///< per-batch records (online)
-  kSectionBook = 3,         ///< arrival book (online, fault-free)
-  kSectionIncremental = 4,  ///< committed prefix + LP warm-start snapshots
-  kSectionResult = 5,       ///< running schedule/plan/profit/lp aggregate
-  kSectionEntries = 6,      ///< CommittedBook entries (online, fault mode)
+  kSectionIncremental = 4,  ///< LP warm-start snapshots
+  kSectionEntries = 6,      ///< CommittedBook entries (online)
   kSectionTopology = 7,     ///< mutated topology state + epoch
   kSectionFaults = 8,       ///< refund ledger + fault stats + book lp stats
   kSectionPathCache = 9,    ///< PathCache image
@@ -76,7 +74,7 @@ struct BatchState {
   lp::SolveStats lp_stats;
 };
 
-/// Mirror of one sim::CommittedBook entry (fault mode).
+/// Mirror of one sim::CommittedBook entry.
 struct BookEntryState {
   workload::Request request;
   int status = 0;  ///< 0 = pending, 1 = accepted, 2 = declined
@@ -114,7 +112,9 @@ struct TopologyState {
 struct OnlineCheckpoint {
   // --- meta / replay cursors -------------------------------------------
   std::uint64_t config_fingerprint = 0;  ///< OnlineAdmissionSimulator::config_fingerprint()
-  bool fault_mode = false;               ///< faults.rate > 0 replay
+  /// Unused and not saved: every fault rate runs the same replay, and the
+  /// fingerprint covers faults.rate.  Kept for callers that still set it.
+  bool fault_mode = false;
   double boundary_time = 0;              ///< the slot boundary (informational)
   std::uint64_t next_arrival = 0;        ///< arrivals consumed from the stream
   std::uint64_t next_fault_event = 0;    ///< fault events fired
@@ -126,18 +126,10 @@ struct OnlineCheckpoint {
 
   std::vector<BatchState> batches;
 
-  // --- fault-free state -------------------------------------------------
-  std::vector<workload::Request> book;  ///< every arrival so far, in order
-
-  core::IncrementalState inc;  ///< committed prefix + LP warm-start bases
-
-  // --- running result ---------------------------------------------------
-  core::Schedule schedule;
-  core::ChargingPlan plan;
-  core::ProfitBreakdown profit;
-  lp::SolveStats lp_stats;
-
-  // --- fault-mode state -------------------------------------------------
+  // --- the committed book -----------------------------------------------
+  /// LP warm-start bases (maa, taa).  `committed` is not saved: the book
+  /// rebuilds it from the entries before every solve.
+  core::IncrementalState inc;
   std::vector<BookEntryState> entries;
   TopologyState topology;
   core::RefundLedger refunds;
@@ -193,8 +185,9 @@ MultiCycleCheckpoint load_multi_cycle(const std::string& path);
 CheckpointKind kind_of(const SnapshotReader& reader);
 
 /// Human-readable JSON rendering of any checkpoint container: meta fields,
-/// section ids/sizes/CRCs and the decoded headline numbers (profit,
-/// accepted counts).  The debug export of the format — `ckpt_inspect dump`.
+/// section ids/sizes/CRCs and the decoded headline numbers (accepted
+/// counts, refunds, profit sums).  The debug export of the format —
+/// `ckpt_inspect dump`.
 void write_debug_json(const SnapshotReader& reader, std::ostream& os);
 
 }  // namespace metis::persist

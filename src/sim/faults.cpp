@@ -126,6 +126,18 @@ std::vector<FaultEvent> generate_fault_events(const FaultConfig& config,
   return out;
 }
 
+std::vector<int> effective_caps(const net::Topology& topo) {
+  std::vector<int> caps(topo.num_edges(), -1);
+  for (net::EdgeId e = 0; e < topo.num_edges(); ++e) {
+    if (!topo.edge_enabled(e)) {
+      caps[e] = 0;  // a dead link sells zero units
+    } else if (topo.edge(e).capacity_units > 0) {
+      caps[e] = topo.edge(e).capacity_units;
+    }
+  }
+  return caps;
+}
+
 CommittedBook::CommittedBook(net::Topology topo, core::InstanceConfig config,
                              RepairConfig repair)
     : topo_(std::move(topo)),
@@ -197,18 +209,6 @@ core::LoadMatrix CommittedBook::accepted_loads() const {
     }
   }
   return loads;
-}
-
-std::vector<int> CommittedBook::effective_caps() const {
-  std::vector<int> caps(topo_.num_edges(), -1);
-  for (net::EdgeId e = 0; e < topo_.num_edges(); ++e) {
-    if (!topo_.edge_enabled(e)) {
-      caps[e] = 0;  // a dead link sells zero units
-    } else if (topo_.edge(e).capacity_units > 0) {
-      caps[e] = topo_.edge(e).capacity_units;
-    }
-  }
-  return caps;
 }
 
 void CommittedBook::drop_entry(std::size_t idx) {
@@ -308,7 +308,7 @@ CommittedBook::Attempt CommittedBook::attempt_decide(Rng& rng) {
     state_.committed.push_back(static_cast<int>(it - candidates.begin()));
   }
 
-  const std::vector<int> caps = effective_caps();
+  const std::vector<int> caps = effective_caps(topo_);
   core::MetisOptions options = repair_.metis;
   options.edge_capacity = &caps;
   attempt.result = core::run_metis_incremental(instance, state_, rng, options);
@@ -373,6 +373,11 @@ core::MetisResult CommittedBook::decide_pending(Rng& rng) {
     if (entry.status == Status::Accepted) entry.was_committed = true;
   }
   return std::move(attempt.result);
+}
+
+void CommittedBook::drop_warm_starts() {
+  state_.maa.clear();
+  state_.taa.clear();
 }
 
 bool CommittedBook::inject(const FaultEvent& event, Rng& rng) {
@@ -633,7 +638,8 @@ void CommittedBook::export_state(persist::OnlineCheckpoint& ckpt) const {
     t.node_enabled.push_back(topo_.node_enabled(node) ? 1 : 0);
   }
   t.epoch = topo_.epoch();
-  ckpt.inc = state_;
+  ckpt.inc.maa = state_.maa;
+  ckpt.inc.taa = state_.taa;
   ckpt.refunds = refunds_;
   ckpt.fault_stats = {stats_.injected,  stats_.network_changes,
                       stats_.repairs,   stats_.victims,
@@ -676,7 +682,8 @@ void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
     e.was_committed = image.was_committed;
     entries_.push_back(std::move(e));
   }
-  state_ = ckpt.inc;
+  state_.maa = ckpt.inc.maa;
+  state_.taa = ckpt.inc.taa;
   refunds_ = ckpt.refunds;
   stats_ = FaultStats{ckpt.fault_stats.injected,
                       ckpt.fault_stats.network_changes,

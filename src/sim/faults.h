@@ -19,8 +19,10 @@
 //    exponential backoff, shedding the lowest-value commitments first.
 //
 // Everything here is deterministic in (seed, config) and independent of
-// thread count; with an empty fault stream the simulators never construct a
-// CommittedBook and their output is byte-identical to the fault-free build.
+// thread count.  The online replay (sim/online.h) decides every batch
+// through a CommittedBook, at any fault rate: with an empty fault stream it
+// just never calls inject().  The multi-cycle simulator builds a book only
+// to replay a non-empty stream against its offline decision.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +62,8 @@ struct FaultEvent {
 };
 
 struct FaultConfig {
-  /// Mean fault events per slot (Poisson).  0 disables injection entirely —
-  /// the simulators then run their historical fault-free code paths.
+  /// Mean fault events per slot (Poisson).  0 disables injection entirely:
+  /// the event stream is empty.
   double rate = 0;
   /// Relative weights of the five fault kinds (need not sum to 1).
   double weight_link_failure = 0.35;
@@ -90,6 +92,12 @@ struct FaultConfig {
 std::vector<FaultEvent> generate_fault_events(const FaultConfig& config,
                                               const net::Topology& topo,
                                               int num_slots, const Rng& base);
+
+/// Per-edge hard caps of `topo` in MetisOptions::edge_capacity form: 0 on a
+/// disabled edge (a dead link sells nothing), capacity_units on a
+/// capacitated one, -1 (uncapacitated) otherwise.  The caps every
+/// CommittedBook decide and the online offline oracle solve under.
+std::vector<int> effective_caps(const net::Topology& topo);
 
 /// What to do with commitments whose reserved path a fault killed/shrank.
 enum class RepairPolicy {
@@ -166,6 +174,11 @@ class CommittedBook {
   /// LP's caps).  Newly accepted decisions become commitments.
   core::MetisResult decide_pending(Rng& rng);
 
+  /// Forgets the LP bases carried from one decide to the next, so the next
+  /// decide cold-starts its first solves (the online replay calls this
+  /// before each batch when cross-batch warm starts are off).
+  void drop_warm_starts();
+
   /// Replays one fault event: mutates the topology, marks victims
   /// (dropping or re-queuing them per the repair policy) and — when the
   /// network changed and there is anything to re-decide — runs the repair
@@ -205,7 +218,7 @@ class CommittedBook {
   // --- checkpoint/restore (src/persist/) -------------------------------
   /// Copies the book's full mutable state — entries, mutated topology,
   /// refund ledger, fault/LP counters, warm-start snapshots, path cache —
-  /// into the checkpoint's fault-mode fields.
+  /// into the checkpoint.
   void export_state(persist::OnlineCheckpoint& ckpt) const;
   /// Rehydrates the book from a checkpoint taken by export_state against
   /// the same pristine topology (shape pinned by the config fingerprint).
@@ -223,7 +236,6 @@ class CommittedBook {
   };
 
   core::LoadMatrix accepted_loads() const;
-  std::vector<int> effective_caps() const;
   /// Drops entry `idx` (with refund if it was committed).
   void drop_entry(std::size_t idx);
   /// Sheds up to `count` lowest-value committed acceptances; returns the
@@ -247,7 +259,9 @@ class CommittedBook {
   RepairConfig repair_;
   net::PathCache cache_;
   std::vector<Entry> entries_;
-  core::IncrementalState state_;  ///< carries LP basis snapshots across decides
+  /// LP basis snapshots carried across decides; `committed` is rebuilt
+  /// from the entries before every solve.
+  core::IncrementalState state_;
   core::RefundLedger refunds_;
   FaultStats stats_;
   lp::SolveStats lp_stats_;

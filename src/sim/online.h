@@ -8,11 +8,14 @@
 //   1. draws a within-cycle arrival stream (workload::Arrival, timestamped),
 //   2. queues arrivals into batches — flushed when `batch_size` requests
 //      are waiting or the oldest has waited `max_batch_delay` slots,
-//   3. re-decides each batch with core::run_metis_incremental, pinning all
-//      previously committed requests (the core::IncrementalState carries
-//      the acceptance set, path choices, and the last optimal LP bases for
-//      cross-batch warm starts via lp/basis_lift.h),
-//   4. reuses one net::PathCache across all batch instances.
+//   3. decides each batch through a CommittedBook (sim/faults.h): one
+//      core::run_metis_incremental re-decide with every accepted request
+//      pinned on its reserved path, under the network's per-edge capacity
+//      caps, warm-started from the previous batch's optimal LP bases
+//      (lp/basis_lift.h) and sharing one net::PathCache,
+//   4. interleaves the seeded fault stream, if any, with the arrivals: the
+//      book repairs the commitments a fault hits.  At fault rate 0 the
+//      stream is empty and the same loop sees arrivals only.
 //
 // batch_size >= the whole stream collapses to a single batch whose decision
 // is bit-identical to the offline run_metis over the same book — the
@@ -54,14 +57,10 @@ struct OnlineConfig {
   /// warm-vs-cold simplex iterations.  Decisions are identical either way;
   /// only the iteration counts move.
   bool cross_batch_warm_start = true;
-  /// Share one net::PathCache across batch instances (identical paths,
-  /// fewer Yen runs).
-  bool reuse_path_cache = true;
   /// Fault injection (sim/faults.h).  faults.rate == 0 — the default —
-  /// disables injection entirely: run() then executes the historical
-  /// fault-free replay, byte-identical to builds without the fault layer.
-  /// With a positive rate the replay interleaves the seeded fault stream
-  /// with the arrival stream and repairs through a CommittedBook.
+  /// injects nothing.  With a positive rate the replay interleaves the
+  /// seeded fault stream with the arrival stream and the book repairs the
+  /// commitments each fault hits.
   FaultConfig faults;
   /// Victim disposition of the fault replay (drop vs reroute).
   RepairPolicy repair_policy = RepairPolicy::Reroute;
@@ -93,8 +92,10 @@ struct BatchRecord {
   int batch = 0;          ///< 0-based flush index
   int arrivals = 0;       ///< requests decided in this batch
   double flush_time = 0;  ///< slot time at which the batch was decided
-  int accepted = 0;       ///< newly accepted (of this batch's arrivals)
-  double profit = 0;      ///< committed-book profit after this batch
+  /// Net change in accepted commitments: this batch's admissions minus
+  /// the commitments the decide revoked (negative when it sheds more).
+  int accepted = 0;
+  double profit = 0;      ///< committed-book net profit after this batch
   double decide_ms = 0;   ///< wall clock of the re-decide (not deterministic)
   lp::SolveStats lp_stats;  ///< simplex work, incl. warm/cold start counts
 };
@@ -103,12 +104,12 @@ struct OnlineResult {
   std::vector<BatchRecord> batches;
   int total_arrivals = 0;
   int total_accepted = 0;
-  /// Final committed decision over the whole stream (arrival order) and
-  /// its evaluation — comparable to a MetisResult on the same book.  In
-  /// fault mode candidate-path indices are not meaningful (the topology
-  /// mutated mid-cycle): path_choice[i] is 0 for an accepted request —
-  /// whose concrete reserved path is fault_paths[i] — and kDeclined
-  /// otherwise.
+  /// Final committed decision over the whole book (fault_book order) and
+  /// its evaluation — comparable to a MetisResult on the same book.
+  /// path_choice[i] indexes request i's candidate paths on the pristine
+  /// network with its reserved path fault_paths[i] required (appended when
+  /// a reroute left the k shortest); kDeclined otherwise.  Without faults
+  /// that is the plain SpmInstance over the arrival stream.
   core::Schedule schedule;
   core::ChargingPlan plan;
   core::ProfitBreakdown profit;
@@ -116,19 +117,21 @@ struct OnlineResult {
   lp::SolveStats lp_stats;
   std::size_t path_cache_hits = 0;
   std::size_t path_cache_misses = 0;
-  /// Entries flushed by topology mutations (fault mode only).
+  /// Entries flushed by topology mutations (zero without faults).
   std::size_t path_cache_stale = 0;
-  // --- fault mode extras (empty / zero in fault-free runs) --------------
+  // --- faults and refunds (empty / zero at fault rate 0 on an
+  //     uncapacitated network) --------------------------------------------
   /// The injected fault stream, in replay order.
   std::vector<FaultEvent> fault_events;
   FaultStats fault_stats;
-  /// SLA refunds paid for revoked commitments.
+  /// SLA refunds paid for revoked commitments: by a fault, or by a later
+  /// decide that could not fit them under tight capacities.
   double refunds = 0;
-  /// profit.profit − refunds: what the provider banks.  Equals
-  /// profit.profit in fault-free runs.
+  /// profit.profit − refunds: what the provider banks.
   double net_profit = 0;
-  /// Every request of the stream (arrivals + surge extras, decision order)
-  /// and the reserved path of each accepted one (empty = declined).
+  /// Every request of the book (arrivals + surge extras, decision order)
+  /// and the reserved path of each accepted one (empty = declined), at
+  /// every fault rate.
   std::vector<workload::Request> fault_book;
   std::vector<net::Path> fault_paths;
 };
@@ -140,20 +143,21 @@ class OnlineAdmissionSimulator {
   /// Replays the cycle: deterministic in config (thread-count independent —
   /// everything runs on the caller's thread except Metis's own
   /// deterministic rounding pool).  Emits telemetry spans ("online.batch")
-  /// and the "online.decide_ms" histogram per batch.  With
-  /// config.faults.rate > 0 the seeded fault stream is interleaved with the
-  /// arrivals: faults mutate the topology, victims are repaired per the
-  /// repair policy, surges add extra arrivals, and the final book is
-  /// validated against the mutated network (throws on any violation).
+  /// and the "online.decide_ms" histogram per batch.  Faults, if any, are
+  /// interleaved with the arrivals: they mutate the topology, victims are
+  /// repaired per the repair policy, surges add extra arrivals.  The final
+  /// book is validated against the (possibly mutated) network — capacities
+  /// included — and run() throws on any violation.
   OnlineResult run() const;
 
   /// The full arrival stream the replay will see (deterministic in
   /// base.seed; exposed for tests and the bench).
   std::vector<workload::Arrival> arrivals() const;
 
-  /// Offline oracle: one plain run_metis over the entire stream's book —
-  /// the paper's regime, equal bit for bit to run() with a single batch
-  /// (batch_size >= stream length and no deadline).
+  /// Offline oracle: one run_metis over the entire stream's book under the
+  /// network's capacity caps (effective_caps) — the paper's regime, equal
+  /// bit for bit to run() with a single batch (batch_size >= stream length,
+  /// no deadline, no faults).
   core::MetisResult offline_oracle() const;
 
   const OnlineConfig& config() const { return config_; }
@@ -166,8 +170,6 @@ class OnlineAdmissionSimulator {
 
  private:
   double arrival_rate() const;
-  /// The fault-mode replay (run() dispatches here when faults.rate > 0).
-  OnlineResult run_with_faults() const;
 
   OnlineConfig config_;
 };

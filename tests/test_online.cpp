@@ -5,18 +5,21 @@
 //   * one batch == offline Metis, bit for bit (same RNG stream, same LP
 //     bytes, same control flow),
 //   * commitments are final — later batches never flip an earlier decision,
-//   * warm starts and path caching are pure accelerations (decisions are
-//     identical with them off),
+//   * warm starts are a pure acceleration (decisions are identical with
+//     them off), with and without faults,
+//   * no batch buys more of a link than the link holds,
 //   * the replay is deterministic for any rounding thread count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/metis.h"
 #include "sim/online.h"
 #include "sim/scenario.h"
+#include "sim/validate.h"
 #include "util/rng.h"
 
 namespace metis::sim {
@@ -69,17 +72,41 @@ TEST(OnlineAdmission, ArrivalStreamIsDeterministicAndInCycle) {
 }
 
 TEST(OnlineAdmission, SingleBatchReproducesOfflineOracleBitIdentically) {
-  const OnlineAdmissionSimulator simulator(small_config(7, 10'000));
-  const OnlineResult online = simulator.run();
-  const core::MetisResult offline = simulator.offline_oracle();
-  ASSERT_EQ(online.batches.size(), 1u);
-  EXPECT_EQ(online.total_arrivals,
-            static_cast<int>(simulator.arrivals().size()));
-  expect_same_decision(online.schedule, online.plan, online.profit.profit,
-                       offline.schedule, offline.plan, offline.best.profit);
-  EXPECT_EQ(online.profit.revenue, offline.best.revenue);
-  EXPECT_EQ(online.profit.cost, offline.best.cost);
-  EXPECT_EQ(online.total_accepted, offline.best.accepted);
+  OnlineConfig capacitated = small_config(9, 10'000);
+  capacitated.base.network = Network::B4;
+  capacitated.base.num_requests = 48;
+  capacitated.base.uniform_capacity = 2;
+  for (const OnlineConfig& config : {small_config(7, 10'000), capacitated}) {
+    const OnlineAdmissionSimulator simulator(config);
+    const OnlineResult online = simulator.run();
+    const core::MetisResult offline = simulator.offline_oracle();
+    ASSERT_EQ(online.batches.size(), 1u);
+    EXPECT_EQ(online.total_arrivals,
+              static_cast<int>(simulator.arrivals().size()));
+    expect_same_decision(online.schedule, online.plan, online.profit.profit,
+                         offline.schedule, offline.plan, offline.best.profit);
+    EXPECT_EQ(online.profit.revenue, offline.best.revenue);
+    EXPECT_EQ(online.profit.cost, offline.best.cost);
+    EXPECT_EQ(online.total_accepted, offline.best.accepted);
+    EXPECT_GT(online.total_accepted, 0) << "uniform_capacity "
+                                        << config.base.uniform_capacity;
+  }
+}
+
+TEST(OnlineAdmission, CapacitatedReplayNeverBuysPastLinkCapacity) {
+  // BL-SPM holds link capacities fixed: committing batch after batch must
+  // not add up to more units than a link has.
+  OnlineConfig config;
+  config.base.network = Network::B4;
+  config.base.num_requests = 96;
+  config.base.seed = 1;
+  config.base.uniform_capacity = 1;
+  config.batch_size = 8;
+  const OnlineResult result = OnlineAdmissionSimulator(config).run();
+  EXPECT_GT(result.total_accepted, 0);
+  EXPECT_EQ(check_plan_within_capacity(make_network(config.base), result.plan),
+            std::vector<std::string>{});
+  EXPECT_EQ(result.net_profit, result.profit.profit - result.refunds);
 }
 
 TEST(OnlineAdmission, CommittedPrefixIsPreservedByLaterBatches) {
@@ -125,28 +152,36 @@ TEST(OnlineAdmission, EmptyCommitmentsReduceToPlainMetis) {
 }
 
 TEST(OnlineAdmission, WarmStartsAndPathCacheNeverChangeTheDecision) {
-  OnlineConfig warm_config = small_config(13, 5);
-  const OnlineResult warm = OnlineAdmissionSimulator(warm_config).run();
+  OnlineConfig faulty = small_config(3, 6);
+  faulty.base.network = Network::B4;
+  faulty.base.num_requests = 48;
+  faulty.faults.rate = 0.5;
+  for (const OnlineConfig& warm_config : {small_config(13, 5), faulty}) {
+    const OnlineResult warm = OnlineAdmissionSimulator(warm_config).run();
 
-  OnlineConfig cold_config = warm_config;
-  cold_config.cross_batch_warm_start = false;
-  cold_config.reuse_path_cache = false;
-  const OnlineResult cold = OnlineAdmissionSimulator(cold_config).run();
+    OnlineConfig cold_config = warm_config;
+    cold_config.cross_batch_warm_start = false;
+    const OnlineResult cold = OnlineAdmissionSimulator(cold_config).run();
 
-  ASSERT_GT(warm.batches.size(), 1u);
-  ASSERT_EQ(warm.batches.size(), cold.batches.size());
-  expect_same_decision(warm.schedule, warm.plan, warm.profit.profit,
-                       cold.schedule, cold.plan, cold.profit.profit);
-  for (std::size_t b = 0; b < warm.batches.size(); ++b) {
-    EXPECT_EQ(warm.batches[b].arrivals, cold.batches[b].arrivals);
-    EXPECT_EQ(warm.batches[b].accepted, cold.batches[b].accepted);
-    EXPECT_EQ(warm.batches[b].profit, cold.batches[b].profit);
+    const std::string label =
+        "fault rate " + std::to_string(warm_config.faults.rate);
+    ASSERT_GT(warm.batches.size(), 1u) << label;
+    EXPECT_EQ(warm.fault_events.empty(), warm_config.faults.rate == 0) << label;
+    ASSERT_EQ(warm.batches.size(), cold.batches.size()) << label;
+    expect_same_decision(warm.schedule, warm.plan, warm.profit.profit,
+                         cold.schedule, cold.plan, cold.profit.profit);
+    EXPECT_EQ(warm.fault_paths, cold.fault_paths) << label;
+    EXPECT_EQ(warm.net_profit, cold.net_profit) << label;
+    for (std::size_t b = 0; b < warm.batches.size(); ++b) {
+      EXPECT_EQ(warm.batches[b].arrivals, cold.batches[b].arrivals) << label;
+      EXPECT_EQ(warm.batches[b].accepted, cold.batches[b].accepted) << label;
+      EXPECT_EQ(warm.batches[b].profit, cold.batches[b].profit) << label;
+    }
+    // The accelerations actually engaged: cache hits after batch one, and
+    // at least as many accepted warm starts as the cold configuration.
+    EXPECT_GT(warm.path_cache_hits, 0u) << label;
+    EXPECT_GE(warm.lp_stats.warm_starts, cold.lp_stats.warm_starts) << label;
   }
-  // The accelerations actually engaged: cache hits after batch one, and at
-  // least as many accepted warm starts as the cold configuration.
-  EXPECT_GT(warm.path_cache_hits, 0u);
-  EXPECT_EQ(cold.path_cache_hits + cold.path_cache_misses, 0u);
-  EXPECT_GE(warm.lp_stats.warm_starts, cold.lp_stats.warm_starts);
 }
 
 TEST(OnlineAdmission, DeterministicForAnyRoundingThreadCount) {

@@ -333,7 +333,6 @@ TEST(MetricsRestore, SnapshotRestoreRoundTrip) {
 persist::OnlineCheckpoint sample_online_checkpoint() {
   persist::OnlineCheckpoint ckpt;
   ckpt.config_fingerprint = 0x1122334455667788ULL;
-  ckpt.fault_mode = true;
   ckpt.boundary_time = 4;
   ckpt.next_arrival = 17;
   ckpt.next_fault_event = 3;
@@ -358,14 +357,11 @@ persist::OnlineCheckpoint sample_online_checkpoint() {
   req.end_slot = 3;
   req.rate = 2.5;
   req.value = 40;
-  ckpt.book.push_back(req);
-  ckpt.inc.committed = {0, core::kDeclined};
-  ckpt.schedule.path_choice = {0, core::kDeclined};
-  ckpt.plan.units = {1, 0, 2};
-  ckpt.profit.revenue = 40;
-  ckpt.profit.cost = 10;
-  ckpt.profit.profit = 30;
-  ckpt.profit.accepted = 1;
+  ckpt.inc.maa.basis.status = {lp::BasisStatus::Basic,
+                               lp::BasisStatus::AtLower};
+  ckpt.inc.maa.num_variables = 1;
+  ckpt.inc.maa.num_rows = 1;
+  ckpt.inc.maa.c_col = {0};
   persist::BookEntryState entry;
   entry.request = req;
   entry.status = 1;
@@ -392,7 +388,6 @@ TEST(CheckpointCodec, OnlineRoundTrip) {
   const persist::OnlineCheckpoint back = persist::decode_online(reader);
 
   EXPECT_EQ(back.config_fingerprint, ckpt.config_fingerprint);
-  EXPECT_EQ(back.fault_mode, ckpt.fault_mode);
   EXPECT_EQ(back.boundary_time, ckpt.boundary_time);
   EXPECT_EQ(back.next_arrival, ckpt.next_arrival);
   EXPECT_EQ(back.next_fault_event, ckpt.next_fault_event);
@@ -402,13 +397,11 @@ TEST(CheckpointCodec, OnlineRoundTrip) {
   ASSERT_EQ(back.batches.size(), 1u);
   EXPECT_EQ(back.batches[0].profit, 123.5);
   EXPECT_EQ(back.batches[0].lp_stats.iterations, 77);
-  ASSERT_EQ(back.book.size(), 1u);
-  EXPECT_EQ(back.book[0].rate, 2.5);
-  EXPECT_EQ(back.inc.committed, ckpt.inc.committed);
-  EXPECT_EQ(back.schedule.path_choice, ckpt.schedule.path_choice);
-  EXPECT_EQ(back.plan.units, ckpt.plan.units);
-  EXPECT_EQ(back.profit.profit, 30);
+  EXPECT_EQ(back.inc.maa.basis.status, ckpt.inc.maa.basis.status);
+  EXPECT_EQ(back.inc.maa.c_col, ckpt.inc.maa.c_col);
+  EXPECT_TRUE(back.inc.taa.empty());
   ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].request.rate, 2.5);
   EXPECT_EQ(back.entries[0].status, 1);
   EXPECT_EQ(back.entries[0].path, (net::Path{{0, 2, 5}}));
   EXPECT_TRUE(back.entries[0].was_committed);
@@ -622,22 +615,26 @@ TEST(KillRestore, FingerprintMismatchRejected) {
   reset_registry();
 }
 
-TEST(KillRestore, ModeMismatchRejected) {
+TEST(KillRestore, FaultRateMismatchRejected) {
   sim::OnlineConfig config = small_online_config(0);
   config.checkpoint_every = 4;
-  config.checkpoint_path = tmp_path("mode_mismatch.ckpt");
+  config.checkpoint_path = tmp_path("rate_mismatch.ckpt");
   (void)sim::OnlineAdmissionSimulator(config).run();
 
-  // Resuming a fault-free snapshot into a fault-mode run must be rejected
-  // (faults.rate is fingerprinted, so this surfaces as a fingerprint
-  // mismatch before the mode check can even be reached).
+  // Every fault rate runs the same replay, but resuming a rate-0 snapshot
+  // under a positive rate would replay a fault stream the snapshot never
+  // saw: faults.rate is fingerprinted.
   sim::OnlineConfig faulty = config;
   faulty.checkpoint_every = 0;
   faulty.checkpoint_path.clear();
   faulty.faults.rate = 0.5;
   faulty.resume_path = config.checkpoint_path;
-  EXPECT_THROW((void)sim::OnlineAdmissionSimulator(faulty).run(),
-               std::runtime_error);
+  try {
+    (void)sim::OnlineAdmissionSimulator(faulty).run();
+    FAIL() << "resume under a different fault rate was not rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos);
+  }
   reset_registry();
 }
 
