@@ -34,7 +34,6 @@
 
 #include "core/accounting.h"
 #include "core/metis.h"
-#include "core/schedule.h"
 #include "net/paths.h"
 #include "persist/snapshot.h"
 #include "util/telemetry.h"

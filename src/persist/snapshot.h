@@ -35,9 +35,6 @@ namespace metis::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'E', 'T', 'I',
                                            'S', 'C', 'K', 'P'};
-/// 2: the online image lost the fault-free replay's sections (book, result)
-/// and the meta fault_mode flag; the incremental section holds only the
-/// warm-start bases.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Any malformed container: bad magic, unsupported version, CRC mismatch,

@@ -138,6 +138,20 @@ std::vector<int> effective_caps(const net::Topology& topo) {
   return caps;
 }
 
+core::Schedule reserved_schedule(const core::SpmInstance& instance,
+                                 const std::vector<net::Path>& paths) {
+  core::Schedule schedule =
+      core::Schedule::all_declined(instance.num_requests());
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    if (paths[i].empty()) continue;
+    const std::vector<net::Path>& candidates = instance.paths(i);
+    schedule.path_choice[i] = static_cast<int>(
+        std::find(candidates.begin(), candidates.end(), paths[i]) -
+        candidates.begin());
+  }
+  return schedule;
+}
+
 CommittedBook::CommittedBook(net::Topology topo, core::InstanceConfig config,
                              RepairConfig repair)
     : topo_(std::move(topo)),
@@ -300,13 +314,10 @@ CommittedBook::Attempt CommittedBook::attempt_decide(Rng& rng) {
   }
 
   core::SpmInstance instance(topo_, book, config_, &cache_, &require);
-  state_.committed.clear();
-  for (int c = 0; c < attempt.num_committed; ++c) {
-    const std::vector<net::Path>& candidates = instance.paths(c);
-    const auto it = std::find(candidates.begin(), candidates.end(), require[c]);
-    // require_paths guarantees presence.
-    state_.committed.push_back(static_cast<int>(it - candidates.begin()));
-  }
+  const std::vector<int> choice =
+      reserved_schedule(instance, require).path_choice;
+  state_.committed.assign(choice.begin(),
+                          choice.begin() + attempt.num_committed);
 
   const std::vector<int> caps = effective_caps(topo_);
   core::MetisOptions options = repair_.metis;
@@ -595,14 +606,7 @@ std::vector<std::string> CommittedBook::validate() const {
   }
   if (book.empty()) return out;
   const core::SpmInstance instance(topo_, book, config_, nullptr, &require);
-  core::Schedule schedule =
-      core::Schedule::all_declined(static_cast<int>(book.size()));
-  for (std::size_t k = 0; k < book.size(); ++k) {
-    const std::vector<net::Path>& candidates =
-        instance.paths(static_cast<int>(k));
-    const auto it = std::find(candidates.begin(), candidates.end(), require[k]);
-    schedule.path_choice[k] = static_cast<int>(it - candidates.begin());
-  }
+  const core::Schedule schedule = reserved_schedule(instance, require);
   for (std::string& v : check_schedule(instance, schedule, purchase)) {
     out.push_back(std::move(v));
   }

@@ -95,9 +95,17 @@ std::vector<FaultEvent> generate_fault_events(const FaultConfig& config,
 
 /// Per-edge hard caps of `topo` in MetisOptions::edge_capacity form: 0 on a
 /// disabled edge (a dead link sells nothing), capacity_units on a
-/// capacitated one, -1 (uncapacitated) otherwise.  The caps every
-/// CommittedBook decide and the online offline oracle solve under.
+/// capacitated one, -1 (uncapacitated) otherwise.  Every CommittedBook
+/// decide, and OnlineAdmissionSimulator::offline_oracle(), solves under
+/// these caps.
 std::vector<int> effective_caps(const net::Topology& topo);
+
+/// The index of each reserved path among its request's candidates in
+/// `instance` (kDeclined where the path is empty).  Every non-empty path
+/// must be a candidate, as it is when `paths` were the instance's
+/// require_paths.
+core::Schedule reserved_schedule(const core::SpmInstance& instance,
+                                 const std::vector<net::Path>& paths);
 
 /// What to do with commitments whose reserved path a fault killed/shrank.
 enum class RepairPolicy {

@@ -84,29 +84,6 @@ void write_checkpoint(const OnlineConfig& config,
   }
 }
 
-/// The final book as a Schedule: path_choice[i] indexes the candidate
-/// paths of request i in SpmInstance(topo, requests, config, nullptr,
-/// &paths) over the pristine network, where each reserved path is
-/// required.  A path that no fault rerouted is one of its request's k
-/// shortest, so on an untouched network this is the plain candidate index.
-core::Schedule reserved_schedule(const net::Topology& topo,
-                                 const std::vector<workload::Request>& requests,
-                                 const std::vector<net::Path>& paths,
-                                 const core::InstanceConfig& config) {
-  core::Schedule schedule =
-      core::Schedule::all_declined(static_cast<int>(requests.size()));
-  const core::SpmInstance instance(topo, requests, config, nullptr, &paths);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (paths[i].empty()) continue;
-    const std::vector<net::Path>& candidates =
-        instance.paths(static_cast<int>(i));
-    schedule.path_choice[i] = static_cast<int>(
-        std::find(candidates.begin(), candidates.end(), paths[i]) -
-        candidates.begin());
-  }
-  return schedule;
-}
-
 }  // namespace
 
 std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
@@ -404,9 +381,10 @@ OnlineResult OnlineAdmissionSimulator::run() const {
   result.total_accepted = book.accepted_count();
   result.fault_book = book.requests();
   result.fault_paths = book.reserved_paths();
-  result.schedule = reserved_schedule(topo, result.fault_book,
-                                      result.fault_paths,
-                                      config_.base.instance);
+  const core::SpmInstance pristine(topo, result.fault_book,
+                                   config_.base.instance, nullptr,
+                                   &result.fault_paths);
+  result.schedule = reserved_schedule(pristine, result.fault_paths);
   result.plan = book.plan();
   result.profit = book.evaluate();
   result.refunds = book.refunds();
