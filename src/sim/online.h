@@ -113,7 +113,8 @@ struct OnlineResult {
   core::Schedule schedule;
   core::ChargingPlan plan;
   core::ProfitBreakdown profit;
-  /// Aggregate LP work across every batch (sum of batch lp_stats).
+  /// Aggregate LP work of every decide: the batches' lp_stats plus, with
+  /// faults, the repairs'.
   lp::SolveStats lp_stats;
   std::size_t path_cache_hits = 0;
   std::size_t path_cache_misses = 0;
