@@ -4,6 +4,9 @@
 // the substitution of Gurobi by our own solver (DESIGN.md section 2).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench_util.h"
 #include "core/lp_builder.h"
 #include "core/metis.h"
@@ -229,11 +232,27 @@ BENCHMARK(BM_MetisPricing_B4)
 
 // Custom main (instead of benchmark_main): `--telemetry-json` must be
 // stripped before benchmark::Initialize, which rejects unknown flags.
+// `--baseline-json <path>`, the flag tools/check_bench_regression.py hands
+// every bench driver, becomes Google Benchmark's own JSON output, the
+// format of bench/lp_solver_baseline.json.
 int main(int argc, char** argv) {
   const std::string telemetry_path =
       metis::bench::take_telemetry_json_arg(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string baseline_path =
+      metis::bench::take_path_arg(argc, argv, "--baseline-json");
+  std::vector<char*> args(argv, argv + argc);
+  std::string out_flag = "--benchmark_out=" + baseline_path;
+  std::string format_flag = "--benchmark_out_format=json";
+  if (!baseline_path.empty()) {
+    args.push_back(out_flag.data());
+    args.push_back(format_flag.data());
+  }
+  int args_count = static_cast<int>(args.size());
+  args.push_back(nullptr);
+  benchmark::Initialize(&args_count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   metis::bench::write_telemetry(telemetry_path);

@@ -70,17 +70,19 @@ inline int take_shards_arg(int& argc, char** argv) {
   return shards > 0 ? shards : 1;
 }
 
-/// Parses and REMOVES `--telemetry-json <path>` / `--telemetry-json=<path>`
-/// from argv; returns the path, or "" when absent.  Removal matters for the
-/// google-benchmark drivers, whose Initialize() rejects unknown flags.
-inline std::string take_telemetry_json_arg(int& argc, char** argv) {
+/// Parses and REMOVES `<flag> <path>` / `<flag>=<path>` from argv; returns
+/// the path, or "" when absent.  Removal matters for the google-benchmark
+/// drivers, whose Initialize() rejects unknown flags.
+inline std::string take_path_arg(int& argc, char** argv, std::string_view flag) {
   std::string path;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--telemetry-json") == 0 && i + 1 < argc) {
+    const std::string_view arg = argv[i];
+    if (arg == flag && i + 1 < argc) {
       path = argv[++i];
-    } else if (std::strncmp(argv[i], "--telemetry-json=", 17) == 0) {
-      path = argv[i] + 17;
+    } else if (arg.size() > flag.size() && arg.starts_with(flag) &&
+               arg[flag.size()] == '=') {
+      path = arg.substr(flag.size() + 1);
     } else {
       argv[out++] = argv[i];
     }
@@ -88,6 +90,11 @@ inline std::string take_telemetry_json_arg(int& argc, char** argv) {
   argc = out;
   argv[argc] = nullptr;
   return path;
+}
+
+/// take_path_arg for `--telemetry-json <path>`.
+inline std::string take_telemetry_json_arg(int& argc, char** argv) {
+  return take_path_arg(argc, argv, "--telemetry-json");
 }
 
 /// Writes the global telemetry registry to `path` as JSON.  No-op when

@@ -15,6 +15,14 @@ matches the blessed baseline:
     absorbs printf round-tripping);
   * strings/bools must match exactly.
 
+Google Benchmark JSON (bench_lp_solver --baseline-json, which writes
+--benchmark_out) is recognised by its top-level `context` and `benchmarks`
+keys.  The `context` object describes the host and is skipped; in each
+run, `real_time`, `cpu_time` and `iterations` (the timing loop count) are
+timing fields, and `family_index` is ignored, because a
+--benchmark_filter run renumbers it.  The counters (simplex_iters,
+factorizations, profit, ...) must match like any deterministic field.
+
 Arrays of objects are joined on their identifying keys (requests, shards,
 rate, batch_size, ...) rather than by position, so reordering is not a
 diff; an array whose rows do not have unique keys is compared by position
@@ -54,8 +62,18 @@ TIMING_SUFFIXES = ("_ms", "_seconds", "_sec")
 TIMING_KEYS = {"speedup", "wall_ms", "threads"}
 
 
+# Google Benchmark runs: the timing loop's count and times, and the family
+# number a filtered run assigns afresh.
+GBENCH_TIMING_KEYS = {"real_time", "cpu_time", "iterations"}
+GBENCH_IGNORED_KEYS = {"family_index"}
+
+
 def is_timing_key(key: str) -> bool:
     return key in TIMING_KEYS or key.endswith(TIMING_SUFFIXES)
+
+
+def is_gbench(doc) -> bool:
+    return isinstance(doc, dict) and "context" in doc and "benchmarks" in doc
 
 
 def row_key(obj: dict):
@@ -70,9 +88,11 @@ def unique_row_keys(rows: list) -> bool:
 
 
 class Comparator:
-    def __init__(self, rel_tol: float, allow_subset: bool):
+    def __init__(self, rel_tol: float, allow_subset: bool, gbench: bool):
         self.rel_tol = rel_tol
         self.allow_subset = allow_subset
+        self.timing_keys = GBENCH_TIMING_KEYS if gbench else set()
+        self.ignored_keys = GBENCH_IGNORED_KEYS if gbench else set()
         self.errors = []
         self.checked = 0
         self.skipped_rows = 0
@@ -98,9 +118,11 @@ class Comparator:
                 self.fail(path, f"expected {baseline!r}, got {current!r}")
 
     def compare_number(self, path: str, baseline: float, current: float) -> None:
-        self.checked += 1
         key = path.rsplit(".", 1)[-1]
-        if is_timing_key(key):
+        if key in self.ignored_keys:
+            return
+        self.checked += 1
+        if is_timing_key(key) or key in self.timing_keys:
             if not math.isfinite(current) or (baseline > 0 and current <= 0):
                 self.fail(path, f"timing value {current} fails the sanity check")
             return
@@ -202,7 +224,12 @@ def main() -> int:
     if current is None:
         return 2
 
-    comparator = Comparator(args.rel_tol, args.allow_subset)
+    gbench = is_gbench(baseline)
+    if gbench:
+        baseline.pop("context")
+        if isinstance(current, dict):
+            current.pop("context", None)
+    comparator = Comparator(args.rel_tol, args.allow_subset, gbench)
     comparator.compare("$", baseline, current)
     for error in comparator.errors:
         sys.stderr.write(f"REGRESSION: {error}\n")

@@ -6,7 +6,8 @@ asserts on exit codes and diagnostics: a missing or malformed input file is
 a clean usage error (exit 2, no traceback), a field mismatch or an extra
 key is a regression (exit 1), --allow-subset skips absent rows but still
 checks the rows that are present, and rows whose ID keys repeat are
-compared by position.
+compared by position.  Google Benchmark JSON skips its host context and
+timing fields but still gates every counter.
 
 Registered as the `tooling`-labeled ctest (see the top-level
 CMakeLists.txt): ctest -L tooling.
@@ -38,6 +39,25 @@ DUPLICATE_KEYS = {
         {"arrivals": 1, "iterations": 16},
         {"arrivals": 1, "iterations": 9},
         {"arrivals": 1, "iterations": 14},
+    ],
+}
+
+# Google Benchmark --benchmark_out JSON (bench_lp_solver --baseline-json):
+# the host `context` and each run's timings and loop count vary between
+# runs; the counters do not.
+GBENCH = {
+    "context": {"date": "2026-01-01T00:00:00+00:00", "num_cpus": 1,
+                "load_avg": [0.5, 1.0, 1.2]},
+    "benchmarks": [
+        {"name": "BM_RlSpmRelaxation_B4/50", "family_index": 0,
+         "per_family_instance_index": 0, "run_type": "iteration",
+         "iterations": 75, "real_time": 8.82, "cpu_time": 8.71,
+         "time_unit": "ms", "rows": 461.0, "simplex_iters": 358.0},
+        {"name": "BM_MetisAlternation_B4/100/1", "family_index": 6,
+         "per_family_instance_index": 1, "run_type": "iteration",
+         "iterations": 1, "real_time": 1429.9, "cpu_time": 1415.4,
+         "time_unit": "ms", "profit": 87.96357289090187,
+         "simplex_iters": 21431.0},
     ],
 }
 
@@ -172,6 +192,35 @@ class CheckBenchRegressionTest(unittest.TestCase):
         run = run_checker("--baseline", baseline, "--current", current)
         self.assertEqual(run.returncode, 1)
         self.assertIn("$.per_batch[1].iterations", run.stderr)
+
+    def test_gbench_self_compare_passes(self):
+        baseline = self.write("baseline.json", GBENCH)
+        current = self.write("current.json", GBENCH)
+        run = run_checker("--baseline", baseline, "--current", current)
+        self.assertEqual(run.returncode, 0, run.stderr)
+
+    def test_gbench_changed_counter_fails(self):
+        baseline = self.write("baseline.json", GBENCH)
+        mutated = json.loads(json.dumps(GBENCH))
+        mutated["benchmarks"][1]["simplex_iters"] = 21432.0
+        current = self.write("current.json", mutated)
+        run = run_checker("--baseline", baseline, "--current", current)
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("simplex_iters", run.stderr)
+
+    def test_gbench_timing_context_and_family_index_are_not_compared(self):
+        baseline = self.write("baseline.json", GBENCH)
+        mutated = json.loads(json.dumps(GBENCH))
+        mutated["context"] = {"date": "2026-02-02T00:00:00+00:00",
+                              "num_cpus": 4}
+        mutated["benchmarks"][0]["real_time"] = 3.1
+        mutated["benchmarks"][0]["cpu_time"] = 3.0
+        mutated["benchmarks"][0]["iterations"] = 210
+        # A --benchmark_filter run numbers the families it kept from 0.
+        mutated["benchmarks"][1]["family_index"] = 1
+        current = self.write("current.json", mutated)
+        run = run_checker("--baseline", baseline, "--current", current)
+        self.assertEqual(run.returncode, 0, run.stderr)
 
     def test_requires_exactly_one_input_source(self):
         baseline = self.write("baseline.json", BASELINE)
