@@ -29,6 +29,9 @@ int LinearProblem::add_variable(double lower, double upper, double obj,
   if (std::isnan(lower) || std::isnan(upper) || std::isnan(obj)) {
     throw std::invalid_argument("add_variable: NaN input");
   }
+  if (!std::isfinite(obj)) {
+    throw std::invalid_argument("add_variable: infinite objective coefficient");
+  }
   if (lower > upper) {
     throw std::invalid_argument("add_variable: lower > upper for " + name);
   }
@@ -47,15 +50,30 @@ int LinearProblem::add_row(RowType type, double rhs, std::vector<RowEntry> entri
     if (e.col < 0 || e.col >= num_variables()) {
       throw std::invalid_argument("add_row: entry references unknown column");
     }
-    if (std::isnan(e.coef)) throw std::invalid_argument("add_row: NaN coefficient");
+    if (!std::isfinite(e.coef)) {
+      throw std::invalid_argument("add_row: non-finite coefficient");
+    }
   }
   rows_.push_back(Row{type, rhs, std::move(entries), std::move(name)});
   return static_cast<int>(rows_.size()) - 1;
 }
 
+void LinearProblem::set_objective_coef(int col, double obj) {
+  if (col < 0 || col >= num_variables()) {
+    throw std::invalid_argument("set_objective_coef: unknown column");
+  }
+  if (!std::isfinite(obj)) {
+    throw std::invalid_argument("set_objective_coef: non-finite coefficient");
+  }
+  obj_[col] = obj;
+}
+
 void LinearProblem::set_bounds(int col, double lower, double upper) {
   if (col < 0 || col >= num_variables()) {
     throw std::invalid_argument("set_bounds: unknown column");
+  }
+  if (std::isnan(lower) || std::isnan(upper)) {
+    throw std::invalid_argument("set_bounds: NaN bound");
   }
   if (lower > upper) throw std::invalid_argument("set_bounds: lower > upper");
   lower_[col] = lower;

@@ -46,12 +46,17 @@ class LinearProblem {
   explicit LinearProblem(Sense sense = Sense::Minimize) : sense_(sense) {}
 
   /// Adds a column with bounds [lower, upper] and objective coefficient obj.
-  /// Returns the column index.  lower may be -kInfinity, upper +kInfinity.
+  /// Returns the column index.  lower may be -kInfinity, upper +kInfinity;
+  /// obj must be finite.  Throws std::invalid_argument on NaN input, an
+  /// infinite obj, or lower > upper.
   int add_variable(double lower, double upper, double obj, std::string name = "");
 
   /// Adds a constraint row.  Entries may reference any existing column; the
   /// same column may appear multiple times (coefficients are summed by the
-  /// solver).  Returns the row index.
+  /// solver).  Returns the row index.  Throws std::invalid_argument on an
+  /// unknown column, a NaN rhs or a non-finite coefficient: the simplex
+  /// kernels skip zero multipliers, which matches the dense arithmetic only
+  /// on finite data (0 * inf is NaN).
   int add_row(RowType type, double rhs, std::vector<RowEntry> entries,
               std::string name = "");
 
@@ -62,11 +67,15 @@ class LinearProblem {
   int num_rows() const { return static_cast<int>(rows_.size()); }
 
   double objective_coef(int col) const { return obj_.at(col); }
-  void set_objective_coef(int col, double obj) { obj_.at(col) = obj; }
+  /// Replaces column col's objective coefficient.  Throws
+  /// std::invalid_argument on an unknown column or a non-finite obj.
+  void set_objective_coef(int col, double obj);
   double lower_bound(int col) const { return lower_.at(col); }
   double upper_bound(int col) const { return upper_.at(col); }
 
   /// Tightens/replaces the bounds of an existing column (used by B&B).
+  /// Infinite bounds are legal; throws std::invalid_argument on an unknown
+  /// column, a NaN bound or lower > upper.
   void set_bounds(int col, double lower, double upper);
 
   const Row& row(int r) const { return rows_.at(r); }
@@ -86,7 +95,8 @@ class LinearProblem {
   bool is_feasible(std::span<const double> x, double tol = num::kOptTol) const;
 
   /// Throws std::invalid_argument on structural problems (bad indices,
-  /// lower > upper, NaN coefficients).  Solvers call this before solving.
+  /// lower > upper).  The mutators already reject non-finite coefficients
+  /// and NaN bounds.  Solvers call this before solving.
   void validate() const;
 
  private:

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "lp/problem.h"
@@ -372,6 +374,45 @@ TEST(Simplex, IterationLimitWithWarmBasisLeavesBasisIntact) {
   EXPECT_EQ(redo.status, SolveStatus::Optimal);
   EXPECT_NEAR(redo.objective, -6, kTol);
   EXPECT_EQ(redo.stats.warm_starts, 1);
+}
+
+TEST(Simplex, NonFiniteDataIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LinearProblem p(Sense::Minimize);
+  const int x = p.add_variable(0, 1, 1);
+  EXPECT_THROW(p.add_variable(0, 1, kInfinity), std::invalid_argument);
+  EXPECT_THROW(p.add_variable(0, 1, -kInfinity), std::invalid_argument);
+  EXPECT_THROW(p.add_variable(nan, 1, 0), std::invalid_argument);
+
+  // Objective coefficients must be finite; a rejected value leaves the old
+  // one in place (a NaN used to solve to Optimal with objective nan).
+  EXPECT_THROW(p.set_objective_coef(x, nan), std::invalid_argument);
+  EXPECT_THROW(p.set_objective_coef(x, kInfinity), std::invalid_argument);
+  EXPECT_THROW(p.set_objective_coef(x, -kInfinity), std::invalid_argument);
+  EXPECT_THROW(p.set_objective_coef(x + 1, 2), std::invalid_argument);
+  EXPECT_EQ(p.objective_coef(x), 1);
+
+  // Bounds may be infinite but never NaN (a NaN lower bound used to solve
+  // without an error).
+  EXPECT_THROW(p.set_bounds(x, nan, 1), std::invalid_argument);
+  EXPECT_THROW(p.set_bounds(x, 0, nan), std::invalid_argument);
+  EXPECT_EQ(p.lower_bound(x), 0);
+  EXPECT_EQ(p.upper_bound(x), 1);
+  p.set_bounds(x, -kInfinity, kInfinity);
+  p.set_bounds(x, 0, 1);
+
+  // Row coefficients must be finite.
+  EXPECT_THROW(p.add_row(RowType::LessEqual, 1, {{x, kInfinity}}),
+               std::invalid_argument);
+  EXPECT_THROW(p.add_row(RowType::LessEqual, 1, {{x, -kInfinity}}),
+               std::invalid_argument);
+  EXPECT_THROW(p.add_row(RowType::LessEqual, 1, {{x, nan}}),
+               std::invalid_argument);
+  EXPECT_EQ(p.num_rows(), 0);
+  p.add_row(RowType::GreaterEqual, 0.5, {{x, 1}});
+  const LpSolution sol = solve(p);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_NEAR(sol.objective, 0.5, kTol);
 }
 
 // ------------------------------------------------- property sweeps -------
