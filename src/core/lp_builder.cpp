@@ -46,26 +46,35 @@ std::vector<std::vector<int>> add_x_columns(const SpmInstance& instance,
 /// moves committed load onto the right-hand side (and, in the c_var form,
 /// forces a row wherever pinned load alone requires purchase); zero pinned
 /// entries leave the row byte-identical to the offline build.
+///
+/// Each participating request's paths are bucketed by (edge, active slot)
+/// in (request, path) order, so a row's entries come out in that order and
+/// the cost follows the participating requests, not the whole book.
+/// Candidate paths are simple, so a path meets each edge at most once, and
+/// SpmInstance keeps every request's window inside the cycle.
 std::vector<std::vector<int>> add_capacity_rows(
     const SpmInstance& instance, const std::vector<bool>& accepted,
     const std::vector<std::vector<int>>& x_var, const std::vector<int>& c_var,
     const ChargingPlan* capacities, const LoadMatrix* pinned,
     lp::LinearProblem& problem) {
-  std::vector<std::vector<int>> cap_row(
-      instance.num_edges(), std::vector<int>(instance.num_slots(), -1));
-  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
-    for (int t = 0; t < instance.num_slots(); ++t) {
-      std::vector<lp::RowEntry> entries;
-      for (int i = 0; i < instance.num_requests(); ++i) {
-        if (!accepted[i]) continue;
-        const workload::Request& r = instance.request(i);
-        if (!r.active_at(t)) continue;
-        for (int j = 0; j < instance.num_paths(i); ++j) {
-          if (instance.path_uses_edge(i, j, e)) {
-            entries.push_back({x_var[i][j], r.rate});
-          }
+  const int slots = instance.num_slots();
+  std::vector<std::vector<lp::RowEntry>> load(instance.num_edges() * slots);
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    if (!accepted[i]) continue;
+    const workload::Request& r = instance.request(i);
+    for (int j = 0; j < instance.num_paths(i); ++j) {
+      for (net::EdgeId e : instance.paths(i)[j].edges) {
+        for (int t = r.start_slot; t <= r.end_slot; ++t) {
+          load[e * slots + t].push_back({x_var[i][j], r.rate});
         }
       }
+    }
+  }
+  std::vector<std::vector<int>> cap_row(
+      instance.num_edges(), std::vector<int>(slots, -1));
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < slots; ++t) {
+      std::vector<lp::RowEntry> entries = std::move(load[e * slots + t]);
       const double committed = pinned != nullptr ? pinned->at(e, t) : 0.0;
       // In the c_var form a positive committed load still needs a row (the
       // purchase must cover it even when no free request can add to it);

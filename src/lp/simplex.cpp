@@ -1,7 +1,9 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -67,10 +69,17 @@ class BasisFactor {
     std::vector<char> seen(m_, 0);
     std::vector<int> touched;
     touched.reserve(m_);
+    // Earlier pivots whose pivot row the column has touched, as a min-heap
+    // of positions: only they can hold a nonzero to eliminate.
+    std::vector<int> pending;
     const auto touch = [&](int r) {
       if (!seen[r]) {
         seen[r] = 1;
         touched.push_back(r);
+        if (pivot_pos[r] >= 0) {
+          pending.push_back(pivot_pos[r]);
+          std::push_heap(pending.begin(), pending.end(), std::greater<>());
+        }
       }
     };
     for (int k = 0; k < m_; ++k) {
@@ -79,10 +88,16 @@ class BasisFactor {
         x[col.row[i]] = col.coef[i];
         touch(col.row[i]);
       }
-      // Left-looking: apply earlier pivots in order; the value sitting on
-      // pivot row j right before its elimination is exactly U's entry u_jk.
+      // Left-looking: apply earlier pivots in ascending position order; the
+      // value sitting on pivot row j right before its elimination is
+      // exactly U's entry u_jk.  Eliminating pivot j touches only rows no
+      // pivot up to j claims, so every position it queues lies above j and
+      // the heap yields each touched pivot once, in order.
       UCol& u = ucols_[k];
-      for (int j = 0; j < k; ++j) {
+      while (!pending.empty()) {
+        std::pop_heap(pending.begin(), pending.end(), std::greater<>());
+        const int j = pending.back();
+        pending.pop_back();
         const double xr = x[pivot_row_[j]];
         if (xr == 0.0) continue;
         u.pos.push_back(j);
@@ -173,31 +188,24 @@ class BasisFactor {
   /// Solves B^T y = z.  `z` arrives in basis-position space (and is
   /// clobbered); `y` leaves in row space.
   void btran(std::vector<double>& z, std::vector<double>& y) const {
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-      double acc = z[it->r];
-      for (std::size_t i = 0; i < it->idx.size(); ++i) {
-        acc -= it->val[i] * z[it->idx[i]];
-      }
-      z[it->r] = acc / it->pivot;
-    }
-    for (int k = 0; k < m_; ++k) {
-      double acc = z[k];
-      const UCol& u = ucols_[k];
-      for (std::size_t i = 0; i < u.pos.size(); ++i) {
-        acc -= u.val[i] * z[u.pos[i]];
-      }
-      z[k] = acc / ucols_[k].diag;
-    }
-    y.assign(m_, 0.0);
-    for (int k = 0; k < m_; ++k) y[pivot_row_[k]] = z[k];
-    for (int j = m_ - 1; j >= 0; --j) {
-      const LCol& l = lcols_[j];
-      double acc = y[pivot_row_[j]];
-      for (std::size_t i = 0; i < l.row.size(); ++i) {
-        acc -= l.mult[i] * y[l.row[i]];
-      }
-      y[pivot_row_[j]] = acc;
-    }
+    btran_etas<1>({z.data()}, eta_count() - 1);
+    btran_lu<1>({z.data()}, {&y});
+  }
+
+  /// The two BTRANs of a pivot in one pass over the factors, right after
+  /// its eta was pushed: `z` solves against the whole factor into `y` (the
+  /// next iteration's duals), and `zr` against the factor as it stood
+  /// before the newest eta into `rho` (the pivot row devex needs).  Each
+  /// right-hand side sees exactly the operations, in the same order, that
+  /// btran() of it alone applies, so both results are bit-identical to two
+  /// separate solves; sharing the traversal lets the two dependency chains
+  /// of each dot product overlap.
+  void btran_pair(std::vector<double>& z, std::vector<double>& y,
+                  std::vector<double>& zr, std::vector<double>& rho) const {
+    const int newest = eta_count() - 1;
+    btran_etas<1>({z.data()}, newest, newest);
+    btran_etas<2>({z.data(), zr.data()}, newest - 1);
+    btran_lu<2>({z.data(), zr.data()}, {&y, &rho});
   }
 
   /// Records the basis change at position `r` with FTRAN spike `w`
@@ -223,6 +231,59 @@ class BasisFactor {
   const std::vector<int>& fail_rows() const { return fail_rows_; }
 
  private:
+  /// Applies the transposed etas `newest` down to `oldest` to each of the
+  /// N position-space vectors `z`.
+  template <std::size_t N>
+  void btran_etas(const std::array<double*, N>& z, int newest,
+                  int oldest = 0) const {
+    for (int e = newest; e >= oldest; --e) {
+      const Eta& eta = etas_[e];
+      std::array<double, N> acc;
+      for (std::size_t v = 0; v < N; ++v) acc[v] = z[v][eta.r];
+      for (std::size_t i = 0; i < eta.idx.size(); ++i) {
+        for (std::size_t v = 0; v < N; ++v) {
+          acc[v] -= eta.val[i] * z[v][eta.idx[i]];
+        }
+      }
+      for (std::size_t v = 0; v < N; ++v) z[v][eta.r] = acc[v] / eta.pivot;
+    }
+  }
+
+  /// The LU part of BTRAN for N right-hand sides: forward U^T-solve of
+  /// each `z`, scatter through P^T into `y`, backward transposed Lhat.
+  template <std::size_t N>
+  void btran_lu(const std::array<double*, N>& z,
+                const std::array<std::vector<double>*, N>& y) const {
+    std::array<double, N> acc;
+    for (int k = 0; k < m_; ++k) {
+      const UCol& u = ucols_[k];
+      for (std::size_t v = 0; v < N; ++v) acc[v] = z[v][k];
+      for (std::size_t i = 0; i < u.pos.size(); ++i) {
+        for (std::size_t v = 0; v < N; ++v) {
+          acc[v] -= u.val[i] * z[v][u.pos[i]];
+        }
+      }
+      for (std::size_t v = 0; v < N; ++v) z[v][k] = acc[v] / u.diag;
+    }
+    std::array<double*, N> out;
+    for (std::size_t v = 0; v < N; ++v) {
+      y[v]->assign(m_, 0.0);
+      out[v] = y[v]->data();
+      for (int k = 0; k < m_; ++k) out[v][pivot_row_[k]] = z[v][k];
+    }
+    for (int j = m_ - 1; j >= 0; --j) {
+      const LCol& l = lcols_[j];
+      const int r = pivot_row_[j];
+      for (std::size_t v = 0; v < N; ++v) acc[v] = out[v][r];
+      for (std::size_t i = 0; i < l.row.size(); ++i) {
+        for (std::size_t v = 0; v < N; ++v) {
+          acc[v] -= l.mult[i] * out[v][l.row[i]];
+        }
+      }
+      for (std::size_t v = 0; v < N; ++v) out[v][r] = acc[v];
+    }
+  }
+
   struct LCol {  // elimination multipliers of one pivot, by original row
     std::vector<int> row;
     std::vector<double> mult;
@@ -394,8 +455,10 @@ class Engine {
   /// basis is primal feasible, so phase 1 is skipped entirely.
   LpSolution run(bool warm) {
     LpSolution out;
+    if (!warm) init_basis();
+    // Every column, artificials included, exists from here on.
+    if (opt_.pricing == PricingRule::Devex) build_rows();
     if (!warm) {
-      init_basis();
       if (!t_.artificials.empty()) {
         std::vector<double> phase1(t_.num_cols(), 0.0);
         for (int a : t_.artificials) phase1[a] = 1.0;
@@ -552,15 +615,42 @@ class Engine {
     return z;
   }
 
-  /// rho = B^{-T} e_r: row r of B^{-1}.  rho . a_j is entry j of the pivot
-  /// row, the quantity the devex weight recurrence needs per nonbasic
-  /// column.
-  std::vector<double> btran_unit(int r) const {
+  /// Right after the eta of a pivot at basis position `r` was pushed:
+  /// the next iteration's duals y = B^{-T} c_B into `y`, and row r of the
+  /// pre-pivot B^{-1}, rho = B_old^{-T} e_r, into `rho`, in one fused pass
+  /// (BasisFactor::btran_pair).  rho . a_j is entry j of the pivot row,
+  /// the quantity the devex weight recurrence needs per nonbasic column.
+  void compute_y_and_rho(const std::vector<double>& c, int r,
+                         std::vector<double>& y, std::vector<double>& rho) {
     std::vector<double> z(t_.m, 0.0);
-    z[r] = 1.0;
-    std::vector<double> rho;
-    factor_.btran(z, rho);
-    return rho;
+    for (int k = 0; k < t_.m; ++k) z[k] = c[t_.basis[k]];
+    std::vector<double> zr(t_.m, 0.0);
+    zr[r] = 1.0;
+    factor_.btran_pair(z, y, zr, rho);
+  }
+
+  /// Builds the row-wise copy of every column that update_devex reads
+  /// the pivot row from: row r's entries in ascending column order.
+  void build_rows() {
+    const int n = t_.num_cols();
+    row_start_.assign(t_.m + 1, 0);
+    for (const Column& col : t_.cols) {
+      for (int r : col.row) ++row_start_[r + 1];
+    }
+    for (int r = 0; r < t_.m; ++r) row_start_[r + 1] += row_start_[r];
+    row_col_.resize(row_start_[t_.m]);
+    row_coef_.resize(row_start_[t_.m]);
+    std::vector<int> fill(row_start_.begin(), row_start_.end() - 1);
+    for (int j = 0; j < n; ++j) {
+      const Column& col = t_.cols[j];
+      for (std::size_t k = 0; k < col.row.size(); ++k) {
+        const int p = fill[col.row[k]]++;
+        row_col_[p] = j;
+        row_coef_[p] = col.coef[k];
+      }
+    }
+    alpha_row_.assign(n, 0.0);
+    in_alpha_row_.assign(n, 0);
   }
 
   /// Refactorizes the current basis from scratch and recomputes values.
@@ -848,40 +938,53 @@ class Engine {
   void reset_devex() { devex_.assign(t_.num_cols(), 1.0); }
 
   /// Devex weight update for one pivot (Forrest & Goldfarb's recurrence):
-  /// entering column `enter` displaced position `leave_pos`'s variable to
-  /// `leave`, with pivot element `alpha` (the FTRAN spike at the pivot
-  /// position).  With alpha_j = e_r^T B^{-1} a_j the pivot-row entry of
-  /// nonbasic column j,
+  /// entering column `enter` displaced `leave`, with pivot element `alpha`
+  /// (the FTRAN spike at the pivot position) and `rho` the pivot row of
+  /// the pre-pivot B^{-1}.  With alpha_j = rho . a_j the pivot-row entry
+  /// of nonbasic column j,
   ///
   ///    gamma_j    = max(gamma_j, (alpha_j / alpha)^2 * gamma_q)   j != q
   ///    gamma_r    = max(gamma_q / alpha^2, 1)
   ///
   /// which keeps each gamma_j an underestimate-by-design reference-space
-  /// proxy for the steepest-edge norm ||B^{-1} a_j||^2.  The pivot row
-  /// costs one BTRAN of e_r plus a sweep of the nonbasic columns — the
-  /// same O(nnz(A)) order as one Dantzig pricing scan — and buys the
-  /// iteration-count reduction that is the whole point of devex; the
-  /// partial window then makes the *pricing* side cheap.  Weight growth is
-  /// bounded by the refactorization reset (a fresh reference framework
-  /// every refactor_interval pivots).
-  void update_devex(int enter, int leave, int leave_pos, double alpha) {
+  /// proxy for the steepest-edge norm ||B^{-1} a_j||^2.  rho comes from
+  /// the fused BTRAN that also yields the next duals, and the pivot row is
+  /// built row-wise: only the rows where rho is nonzero are visited, in
+  /// ascending order, so each alpha_j accumulates the same terms in the
+  /// same order as a dot product down column j.  The zeros of rho it skips
+  /// add only +-0 to a sum that starts at +0, which leaves the sum's bits
+  /// unchanged as long as the matrix is finite (LinearProblem rejects
+  /// infinite coefficients).  Weight growth is bounded by the
+  /// refactorization reset (a fresh reference framework every
+  /// refactor_interval pivots).
+  void update_devex(int enter, int leave, double alpha,
+                    const std::vector<double>& rho) {
     if (alpha == 0.0) return;  // unreachable: the pivot magnitude is checked
     const double gq = std::max(devex_[enter], 1.0);
     const double alpha_sq = alpha * alpha;
-    const std::vector<double> rho = btran_unit(leave_pos);
-    for (int j = 0; j < t_.num_cols(); ++j) {
-      if (t_.status[j] == VarStatus::Basic || t_.is_fixed(j) || j == enter) {
+    for (int r = 0; r < t_.m; ++r) {
+      if (rho[r] == 0.0) continue;
+      for (int p = row_start_[r]; p < row_start_[r + 1]; ++p) {
+        const int j = row_col_[p];
+        if (!in_alpha_row_[j]) {
+          in_alpha_row_[j] = 1;
+          alpha_cols_.push_back(j);
+        }
+        alpha_row_[j] += rho[r] * row_coef_[p];
+      }
+    }
+    for (int j : alpha_cols_) {
+      const double aj = alpha_row_[j];
+      alpha_row_[j] = 0.0;
+      in_alpha_row_[j] = 0;
+      if (t_.status[j] == VarStatus::Basic || t_.is_fixed(j) || j == enter ||
+          aj == 0.0) {
         continue;
       }
-      const Column& col = t_.cols[j];
-      double aj = 0;
-      for (std::size_t k = 0; k < col.row.size(); ++k) {
-        aj += rho[col.row[k]] * col.coef[k];
-      }
-      if (aj == 0.0) continue;
       const double cand = aj * aj / alpha_sq * gq;
       if (cand > devex_[j]) devex_[j] = cand;
     }
+    alpha_cols_.clear();
     devex_[leave] = std::max(gq / alpha_sq, 1.0);
   }
 
@@ -889,6 +992,11 @@ class Engine {
     int degenerate_run = 0;
     const bool devex = opt_.pricing == PricingRule::Devex;
     if (devex) reset_devex();
+    // y solves B^T y = c_B for the current factors whenever y_current is
+    // set: a bound flip keeps the basis and the costs, and a devex pivot
+    // that pushes an eta computes the next y in the fused BTRAN.
+    std::vector<double> y, rho;
+    bool y_current = false;
     while (true) {
       if (iterations_++ >= max_iterations_) return SolveStatus::IterationLimit;
       const bool bland = degenerate_run >= opt_.bland_threshold;
@@ -898,8 +1006,12 @@ class Engine {
       // instead of the drift the Harris bound-expansion accumulated.  The
       // refactorization also resets the devex weights, so Bland's endgame
       // never prices on a stale reference framework.
-      if (degenerate_run == opt_.bland_threshold) refactorize();
-      const std::vector<double> y = compute_y(c);
+      if (degenerate_run == opt_.bland_threshold) {
+        refactorize();
+        y_current = false;
+      }
+      if (!y_current) y = compute_y(c);
+      y_current = true;
 
       // --- Pricing (devex partial by default; see simplex.h) ---
       int enter = -1;
@@ -975,24 +1087,30 @@ class Engine {
         t_.status[leave] = VarStatus::AtLower;
       }
       set_basic(enter, leave_pos, enter_value);
-      if (devex) update_devex(enter, leave, leave_pos, w[leave_pos]);
 
       // --- Update the factorization ---
       // Reinversion triggers 2-4, all deterministic (pure functions of the
       // pivot sequence): an absolutely tiny pivot, a pivot small relative
       // to the spike's largest entry (an eta division by it would amplify
-      // the spike by > 1/kOptTol), and the periodic eta-file cap.
+      // the spike by > 1/kOptTol), and the periodic eta-file cap.  The
+      // refactorization resets the devex weights, which makes this pivot's
+      // own devex update moot, and the next iteration solves for y
+      // against the fresh factors.
       const double pivot = w[leave_pos];
       double spike = 0;
       for (int i = 0; i < t_.m; ++i) spike = std::max(spike, std::abs(w[i]));
       if (std::abs(pivot) < opt_.pivot_tol ||
-          std::abs(pivot) < num::kOptTol * spike) {
+          std::abs(pivot) < num::kOptTol * spike ||
+          factor_.eta_count() + 1 >= opt_.refactor_interval) {
         refactorize();
+        y_current = false;
         continue;
       }
       factor_.push_eta(leave_pos, w);
-      if (factor_.eta_count() >= opt_.refactor_interval) {
-        refactorize();
+      y_current = devex;
+      if (devex) {
+        compute_y_and_rho(c, leave_pos, y, rho);
+        update_devex(enter, leave, pivot, rho);
       }
     }
   }
@@ -1012,6 +1130,14 @@ class Engine {
   BasisFactor factor_;
   std::vector<double> cost_;  // minimization costs over all columns
   std::vector<double> devex_;  // devex reference weights, one per column
+  // Row-wise copy of t_.cols for the devex pivot row (build_rows): row r's
+  // entries are row_col_/row_coef_[row_start_[r], row_start_[r + 1]).
+  std::vector<int> row_start_;
+  std::vector<int> row_col_;
+  std::vector<double> row_coef_;
+  std::vector<double> alpha_row_;   // pivot-row accumulator, one per column
+  std::vector<char> in_alpha_row_;  // column has an entry in alpha_row_
+  std::vector<int> alpha_cols_;     // those columns, in first-hit order
   double sign_ = 1.0;
   int iterations_ = 0;
   int factorizations_ = 0;
