@@ -3,11 +3,17 @@
 // instances.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/accounting.h"
 #include "core/instance.h"
 #include "core/lp_builder.h"
 #include "lp/mip.h"
 #include "lp/simplex.h"
+#include "net/paths.h"
+#include "net/topologies.h"
+#include "util/rng.h"
 
 namespace metis::core {
 namespace {
@@ -356,6 +362,156 @@ TEST(Builder, CapacityDualsAreShadowPrices) {
   ASSERT_GE(row, 0);
   // One more unit admits the displaced bid worth 2 (its rate is 1).
   EXPECT_NEAR(std::abs(sol.duals[row]), 2.0, 1e-6);
+}
+
+// ------------------------------------------------ capacity rows ---------
+
+/// The capacity rows as a plain scan over every (edge, slot) cell, request
+/// and path, in emission order: the reference the bucketed builder must
+/// reproduce row for row.
+std::vector<lp::Row> scan_capacity_rows(const SpmInstance& instance,
+                                        const std::vector<bool>& accepted,
+                                        const SpmModel& model,
+                                        const ChargingPlan* capacities,
+                                        const LoadMatrix& pinned) {
+  std::vector<lp::Row> rows;
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < instance.num_slots(); ++t) {
+      std::vector<lp::RowEntry> entries;
+      for (int i = 0; i < instance.num_requests(); ++i) {
+        if (!accepted[i]) continue;
+        const workload::Request& r = instance.request(i);
+        if (!r.active_at(t)) continue;
+        for (int j = 0; j < instance.num_paths(i); ++j) {
+          if (instance.path_uses_edge(i, j, e)) {
+            entries.push_back({model.x_var[i][j], r.rate});
+          }
+        }
+      }
+      const double committed = pinned.at(e, t);
+      if (entries.empty() && (model.c_var.empty() || committed <= 0)) {
+        continue;
+      }
+      double rhs = 0;
+      if (model.c_var.empty()) {
+        rhs = capacities->units.at(e);
+      } else {
+        entries.push_back({model.c_var[e], -1.0});
+      }
+      if (committed > 0) {
+        rhs -= committed;
+        if (model.c_var.empty() && rhs < 0) rhs = 0;
+      }
+      rows.push_back({lp::RowType::LessEqual, rhs, std::move(entries),
+                      "cap_e" + std::to_string(e) + "_t" + std::to_string(t)});
+    }
+  }
+  return rows;
+}
+
+/// The capacity rows close the model, in (edge, slot) order: each must
+/// equal its reference row exactly, and cap_row must point at it.
+void expect_capacity_rows(const SpmModel& model,
+                          const std::vector<lp::Row>& expected) {
+  std::vector<int> mapped;
+  for (const std::vector<int>& slots : model.cap_row) {
+    for (int row : slots) {
+      if (row >= 0) mapped.push_back(row);
+    }
+  }
+  ASSERT_EQ(mapped.size(), expected.size());
+  const int first = model.problem.num_rows() - static_cast<int>(expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(mapped[k], first + static_cast<int>(k));
+    const lp::Row& row = model.problem.row(first + static_cast<int>(k));
+    const lp::Row& want = expected[k];
+    EXPECT_EQ(row.name, want.name);
+    EXPECT_EQ(row.type, want.type) << want.name;
+    EXPECT_EQ(row.rhs, want.rhs) << want.name;
+    ASSERT_EQ(row.entries.size(), want.entries.size()) << want.name;
+    for (std::size_t p = 0; p < want.entries.size(); ++p) {
+      EXPECT_EQ(row.entries[p].col, want.entries[p].col) << want.name;
+      EXPECT_EQ(row.entries[p].coef, want.entries[p].coef) << want.name;
+    }
+  }
+}
+
+TEST(Builder, CapacityRowsEqualTheFullScanOnAPinnedBook) {
+  // A B4 book where four of five requests are committed and stay out of
+  // the models, so most (edge, slot) cells carry pinned load only.  Every
+  // seventh request must route over its fifth-cheapest path, which the
+  // instance appends to the three Yen candidates.
+  const net::Topology topo = net::make_b4();
+  Rng rng(2024);
+  std::vector<workload::Request> requests;
+  std::vector<net::Path> require;
+  for (int i = 0; i < 80; ++i) {
+    workload::Request r;
+    r.src = rng.uniform_int(0, topo.num_nodes() - 1);
+    do {
+      r.dst = rng.uniform_int(0, topo.num_nodes() - 1);
+    } while (r.dst == r.src);
+    r.start_slot = rng.uniform_int(0, 11);
+    r.end_slot = rng.uniform_int(r.start_slot, 11);
+    r.rate = rng.uniform(0.01, 0.5);
+    r.value = rng.uniform(0.1, 3.0);
+    requests.push_back(r);
+    const std::vector<net::Path> ranked =
+        net::k_shortest_paths(topo, r.src, r.dst, 5);
+    require.push_back(i % 7 == 0 && ranked.size() == 5 ? ranked.back()
+                                                       : net::Path{});
+  }
+  InstanceConfig config;
+  config.num_slots = 12;
+  config.max_paths = 3;
+  const SpmInstance instance(topo, std::move(requests), config, nullptr,
+                             &require);
+
+  Schedule committed = Schedule::all_declined(instance.num_requests());
+  std::vector<bool> accepted(instance.num_requests(), true);
+  int appended_free = 0;
+  int appended_pinned = 0;
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    const bool appended = instance.num_paths(i) > config.max_paths;
+    if (i % 5 == 0) {
+      appended_free += appended;
+      continue;
+    }
+    accepted[i] = false;
+    committed.path_choice[i] = instance.num_paths(i) - 1;
+    appended_pinned += appended;
+  }
+  ASSERT_GT(appended_free, 0);
+  ASSERT_GT(appended_pinned, 0);
+  const LoadMatrix pinned = compute_loads(instance, committed);
+
+  const SpmModel rl = build_rl_spm(instance, accepted, &pinned);
+  expect_capacity_rows(rl, scan_capacity_rows(instance, accepted, rl,
+                                              nullptr, pinned));
+  ChargingPlan caps;
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    caps.units.push_back(e % 3);
+  }
+  const SpmModel bl = build_bl_spm(instance, caps, accepted, {}, &pinned);
+  expect_capacity_rows(bl, scan_capacity_rows(instance, accepted, bl, &caps,
+                                              pinned));
+
+  // A cell with pinned load and no free request gets a row holding only
+  // its c column in RL-SPM, and no row in BL-SPM.
+  int pinned_only = 0;
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    for (int t = 0; t < instance.num_slots(); ++t) {
+      if (pinned.at(e, t) <= 0) continue;
+      const int row = rl.cap_row[e][t];
+      ASSERT_GE(row, 0);
+      const std::vector<lp::RowEntry>& entries = rl.problem.row(row).entries;
+      if (entries.size() != 1) continue;
+      ++pinned_only;
+      EXPECT_EQ(entries[0].col, rl.c_var[e]);
+      EXPECT_EQ(bl.cap_row[e][t], -1);
+    }
+  }
+  EXPECT_GT(pinned_only, 0);
 }
 
 TEST(Builder, PlanFromSolutionRequiresCVars) {

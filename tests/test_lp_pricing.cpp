@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/lp_builder.h"
 #include "lp/problem.h"
@@ -75,20 +76,47 @@ TEST(Pricing, WindowSizeNeverChangesTheOptimum) {
 
 TEST(Pricing, WeightResetOnRefactorizationKeepsTheOptimum) {
   // refactor_interval = 1 resets the devex reference framework on every
-  // pivot (the weights never leave their initial value); the path through
-  // the polytope changes but the optimum must not.
+  // pivot (the weights never leave their initial value); at 2 and 3 the
+  // fused BTRAN of the next duals and the pivot row alternates with a
+  // refactorization every pivot or two (the fuzz LPs never reach the
+  // default eta cap of 100).  bland_threshold = 1 refactorizes on
+  // Bland-mode entry after a single degenerate pivot, which must discard
+  // the duals carried from the previous pivot.  The path through the
+  // polytope changes but the optimum must not, and every optimum must
+  // certify.
+  struct Arm {
+    int refactor_interval;
+    int bland_threshold;
+  };
+  const SimplexOptions defaults;
+  const Arm arms[] = {{1, defaults.bland_threshold},
+                      {2, defaults.bland_threshold},
+                      {3, defaults.bland_threshold},
+                      {defaults.refactor_interval, 1},
+                      {2, 1}};
   for (unsigned long long seed = 1; seed <= 40; ++seed) {
     const reference::FuzzCase fc = reference::make_fuzz_case(seed);
-    SimplexOptions fresh;
-    fresh.pricing = PricingRule::Devex;
-    fresh.refactor_interval = 1;
-    const LpSolution reset_every_pivot = SimplexSolver(fresh).solve(fc.problem);
     const LpSolution normal = solve_with(fc.problem, PricingRule::Devex);
-    ASSERT_EQ(reset_every_pivot.status, normal.status) << fc.label;
-    if (normal.status != SolveStatus::Optimal) continue;
-    EXPECT_NEAR(reset_every_pivot.objective, normal.objective,
-                num::kOptTol * num::rel_scale(normal.objective))
-        << fc.label;
+    for (const Arm& arm : arms) {
+      SimplexOptions o;
+      o.pricing = PricingRule::Devex;
+      o.refactor_interval = arm.refactor_interval;
+      o.bland_threshold = arm.bland_threshold;
+      const LpSolution sol = SimplexSolver(o).solve(fc.problem);
+      const std::string label =
+          fc.label + " refactor_interval=" +
+          std::to_string(arm.refactor_interval) +
+          " bland_threshold=" + std::to_string(arm.bland_threshold);
+      ASSERT_EQ(sol.status, normal.status) << label;
+      if (normal.status != SolveStatus::Optimal) continue;
+      EXPECT_NEAR(sol.objective, normal.objective,
+                  num::kOptTol * num::rel_scale(normal.objective))
+          << label;
+      for (const std::string& v :
+           reference::check_certificates(fc.problem, sol)) {
+        ADD_FAILURE() << label << ": " << v;
+      }
+    }
   }
 }
 
