@@ -14,9 +14,13 @@
 //    the slack bounds receive one artificial column; phase 1 minimizes the
 //    sum of artificials.  Artificials are frozen ([0,0]) once driven out.
 //  * Sparse LU basis factorization (left-looking, partial pivoting with
-//    deterministic ties) with product-form eta updates per pivot; the basis
-//    is refactorized every `refactor_interval` pivots to bound drift.
+//    deterministic ties; each column visits only the earlier pivots whose
+//    pivot row it touches) with product-form eta updates per pivot; the
+//    basis is refactorized every `refactor_interval` pivots to bound drift.
 //    FTRAN/BTRAN run against the sparse factors, never a dense inverse.
+//    After a pivot that keeps the eta file, one fused BTRAN yields both the
+//    next iteration's duals and the devex pivot row; the duals are also
+//    kept across bound flips.
 //  * Devex partial pricing over rotating candidate windows by default
 //    (PricingRule::Dantzig restores the full-scan rule), with an automatic
 //    switch to Bland's rule after a run of degenerate pivots, which
@@ -53,8 +57,10 @@ namespace metis::lp {
 ///    window of nonbasic columns is priced per iteration, and the entering
 ///    column maximizes the devex-weighted violation d_j^2 / w_j.  Reference
 ///    weights start at 1, follow Forrest & Goldfarb's recurrence per pivot
-///    (pivot-row based; see update_devex in simplex.cpp), and reset on
-///    every refactorization and on Bland-mode entry.  When no window
+///    (pivot-row based; see update_devex in simplex.cpp: the pivot row
+///    comes from the fused BTRAN and is accumulated row-wise over its
+///    nonzeros), and reset on every refactorization and on Bland-mode
+///    entry.  When no window
 ///    contains an attractive column the scan falls through to a full pass,
 ///    so optimality certification is exactly the Dantzig one.
 ///
