@@ -7,8 +7,7 @@ namespace metis::lp {
 Basis lift_basis(const Basis& old_basis, int old_cols, int old_rows,
                  std::span<const int> col_of_new,
                  std::span<const int> row_of_new,
-                 std::span<const int> basic_new_columns,
-                 const LiftOptions& options) {
+                 std::span<const int> basic_new_columns) {
   Basis lifted;
   if (old_basis.empty() || !old_basis.compatible(old_cols, old_rows)) {
     return lifted;  // empty => the solver cold starts
@@ -16,11 +15,11 @@ Basis lift_basis(const Basis& old_basis, int old_cols, int old_rows,
   const int new_cols = static_cast<int>(col_of_new.size());
   const int new_rows = static_cast<int>(row_of_new.size());
   lifted.status.assign(static_cast<std::size_t>(new_cols) + new_rows,
-                       options.new_column);
+                       BasisStatus::AtLower);
 
   for (int j = 0; j < new_cols; ++j) {
     const int old_j = col_of_new[j];
-    if (old_j < 0) continue;  // keeps the new-column default
+    if (old_j < 0) continue;  // a new column stays AtLower
     if (old_j >= old_cols) {
       throw std::invalid_argument("lift_basis: column map exceeds old shape");
     }
@@ -29,7 +28,7 @@ Basis lift_basis(const Basis& old_basis, int old_cols, int old_rows,
   for (int r = 0; r < new_rows; ++r) {
     const int old_r = row_of_new[r];
     if (old_r < 0) {
-      lifted.status[new_cols + r] = options.new_row_slack;
+      lifted.status[new_cols + r] = BasisStatus::Basic;
       continue;
     }
     if (old_r >= old_rows) {

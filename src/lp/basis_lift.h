@@ -19,28 +19,19 @@
 
 namespace metis::lp {
 
-/// Options for the non-mapped remainder of a lifted basis.
-struct LiftOptions {
-  /// Status given to new structural columns (no old counterpart).
-  /// AtLower (the default) is primal-safe for columns whose lower bound is
-  /// finite; Basic is what RL-SPM's equality assignment rows need for one
-  /// column per new row (see lift notes in core/lp_builder.h).
-  BasisStatus new_column = BasisStatus::AtLower;
-  /// Status given to the slack of new rows.  Basic (the default) makes the
-  /// new row initially non-binding, which is primal-feasible for inequality
-  /// rows whenever the mapped part is.
-  BasisStatus new_row_slack = BasisStatus::Basic;
-};
-
 /// Lifts `old_basis` (shape: old_cols structural columns + old_rows row
 /// slacks) onto a new problem with `new_cols` columns and `new_rows` rows.
 ///
 ///  * col_of_new[j] = index of new column j in the old problem, or -1 when
 ///    the column is new; row_of_new likewise for rows.  Old entities not
 ///    referenced by any map entry are dropped.
-///  * Mapped entities keep their old status; unmapped ones take the
-///    LiftOptions defaults, except that callers may pre-mark specific new
-///    columns Basic via `basic_new_columns` (one column index per entry).
+///  * Mapped entities keep their old status.  New columns start AtLower
+///    (primal-safe for columns whose lower bound is finite) unless the
+///    caller pre-marks them Basic via `basic_new_columns` (one column index
+///    per entry), which is what RL-SPM's equality assignment rows need for
+///    one column per new row (see lift_into_model in core/lp_builder.h).
+///    The slacks of new rows start Basic, which leaves each new row
+///    non-binding.
 ///  * The result is *count-repaired*: a valid basis needs exactly new_rows
 ///    Basic entries, so surplus Basic row slacks are demoted to AtLower and,
 ///    when short, non-basic row slacks are promoted (new rows first) — the
@@ -53,7 +44,6 @@ struct LiftOptions {
 Basis lift_basis(const Basis& old_basis, int old_cols, int old_rows,
                  std::span<const int> col_of_new,
                  std::span<const int> row_of_new,
-                 std::span<const int> basic_new_columns = {},
-                 const LiftOptions& options = {});
+                 std::span<const int> basic_new_columns = {});
 
 }  // namespace metis::lp

@@ -96,8 +96,7 @@ std::vector<double> PresolveResult::restore(
 }
 
 LpSolution PresolveResult::postsolve(const LinearProblem& original,
-                                     const LpSolution& reduced_sol,
-                                     double tol) const {
+                                     const LpSolution& reduced_sol) const {
   LpSolution out;
   out.status = reduced_sol.status;
   out.iterations = reduced_sol.iterations;
@@ -142,8 +141,8 @@ LpSolution PresolveResult::postsolve(const LinearProblem& original,
     const RowType type = original.row(it->row).type;
     const bool sign_ok =
         type == RowType::Equal ||
-        (type == RowType::LessEqual && cand <= tol) ||
-        (type == RowType::GreaterEqual && cand >= -tol);
+        (type == RowType::LessEqual && cand <= num::kFeasTol) ||
+        (type == RowType::GreaterEqual && cand >= -num::kFeasTol);
     if (sign_ok) y[it->row] = cand;
   }
 
@@ -207,7 +206,8 @@ std::vector<int> PresolveResult::map_columns(
   return out;
 }
 
-PresolveResult presolve(const LinearProblem& problem, double tol) {
+PresolveResult presolve(const LinearProblem& problem) {
+  constexpr double tol = num::kPivotTol;
   METIS_SPAN("presolve");
   problem.validate();
   Work w = load(problem);

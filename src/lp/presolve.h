@@ -21,7 +21,6 @@
 
 #include "lp/problem.h"
 #include "lp/types.h"
-#include "util/numeric.h"
 
 namespace metis::lp {
 
@@ -64,10 +63,11 @@ struct PresolveResult {
   /// Lifts a full reduced-space LpSolution (primal, duals, objective) back
   /// to `original`'s space.  Non-Optimal solutions pass through with empty
   /// primal/dual vectors.  The returned objective is recomputed from the
-  /// restored x to wash out reduction round-off.
+  /// restored x to wash out reduction round-off.  A replayed singleton row
+  /// takes a multiplier whose sign is wrong for its row type by at most
+  /// num::kFeasTol.
   LpSolution postsolve(const LinearProblem& original,
-                       const LpSolution& reduced_sol,
-                       double tol = num::kFeasTol) const;
+                       const LpSolution& reduced_sol) const;
 
   /// Lifts a basis snapshot of the reduced problem into `original`'s column
   /// space: surviving columns/slacks keep their status, eliminated columns
@@ -80,11 +80,10 @@ struct PresolveResult {
   std::vector<int> map_columns(const std::vector<int>& original_cols) const;
 };
 
-/// Applies the reductions.  `tol` is the feasibility tolerance for the
-/// verdict checks and the bound-gap threshold below which a column counts
-/// as fixed (num::kPivotTol: tighter than the simplex feasibility tolerance
-/// so presolve never fixes what the solver could still move).
-PresolveResult presolve(const LinearProblem& problem,
-                        double tol = num::kPivotTol);
+/// Applies the reductions.  num::kPivotTol is the feasibility tolerance for
+/// the verdict checks and the bound gap below which a column counts as
+/// fixed: tighter than the simplex feasibility tolerance, so presolve never
+/// fixes what the solver could still move.
+PresolveResult presolve(const LinearProblem& problem);
 
 }  // namespace metis::lp

@@ -457,7 +457,7 @@ class Engine {
     LpSolution out;
     if (!warm) init_basis();
     // Every column, artificials included, exists from here on.
-    if (opt_.pricing == PricingRule::Devex) build_rows();
+    build_rows();
     if (!warm) {
       if (!t_.artificials.empty()) {
         std::vector<double> phase1(t_.num_cols(), 0.0);
@@ -553,7 +553,7 @@ class Engine {
     for (int r = 0; r < t_.m; ++r) {
       const int slack = t_.n_struct + r;
       const double clamped = std::clamp(resid[r], t_.lb[slack], t_.ub[slack]);
-      if (std::abs(resid[r] - clamped) <= opt_.tol) {
+      if (std::abs(resid[r] - clamped) <= num::kFeasTol) {
         set_basic(slack, r, resid[r]);
       } else {
         // Slack rests at its nearest bound; an artificial carries the rest.
@@ -676,7 +676,7 @@ class Engine {
     basis_repairs_ += repairs;
     ++factorizations_;
     recompute_basic_values();
-    if (opt_.pricing == PricingRule::Devex) reset_devex();
+    reset_devex();
   }
 
   /// Deterministic singular-basis repair: the LU found no acceptable pivot
@@ -741,23 +741,23 @@ class Engine {
   /// minimum.  The band must be round-off sized and anchored at the final
   /// minimum: the old one-pass rule banded against the running minimum with
   /// the feasibility tolerance, which could (a) retain a leaving candidate
-  /// whose true ratio exceeds the step by up to `tol` — snapping it onto a
-  /// bound it never reached — and (b) skip recording a later, strictly
+  /// whose true ratio exceeds the step by up to kFeasTol — snapping it onto
+  /// a bound it never reached — and (b) skip recording a later, strictly
   /// smaller ratio inside the band, overdriving the true blocker through
-  /// its bound.  Both inject up to tol*|coef| of error that, unlike the
-  /// Harris budget model's transient *basic* violations, sits on a nonbasic
-  /// value and therefore survives every refactorization.
+  /// its bound.  Both inject up to kFeasTol*|coef| of error that, unlike
+  /// the Harris budget model's transient *basic* violations, sits on a
+  /// nonbasic value and therefore survives every refactorization.
   RatioChoice ratio_test_textbook(double sigma,
                                   const std::vector<double>& w) const {
     RatioChoice out;
     for (int i = 0; i < t_.m; ++i) {
       const double coef = sigma * w[i];
       const int bj = t_.basis[i];
-      if (coef > opt_.pivot_tol) {
+      if (coef > num::kPivotTol) {
         if (!std::isfinite(t_.lb[bj])) continue;
         const double room = std::max(0.0, t_.value[bj] - t_.lb[bj]);
         out.t_max = std::min(out.t_max, room / coef);
-      } else if (coef < -opt_.pivot_tol) {
+      } else if (coef < -num::kPivotTol) {
         if (!std::isfinite(t_.ub[bj])) continue;
         const double room = std::max(0.0, t_.ub[bj] - t_.value[bj]);
         out.t_max = std::min(out.t_max, room / (-coef));
@@ -770,10 +770,10 @@ class Engine {
       const int bj = t_.basis[i];
       double ratio;
       bool to_upper;
-      if (coef > opt_.pivot_tol && std::isfinite(t_.lb[bj])) {
+      if (coef > num::kPivotTol && std::isfinite(t_.lb[bj])) {
         ratio = std::max(0.0, t_.value[bj] - t_.lb[bj]) / coef;
         to_upper = false;
-      } else if (coef < -opt_.pivot_tol && std::isfinite(t_.ub[bj])) {
+      } else if (coef < -num::kPivotTol && std::isfinite(t_.ub[bj])) {
         ratio = std::max(0.0, t_.ub[bj] - t_.value[bj]) / (-coef);
         to_upper = true;
       } else {
@@ -791,7 +791,7 @@ class Engine {
   /// Harris two-pass ratio test with bounded bound-perturbation.
   ///
   /// Pass 1 computes the relaxed step theta = min_i (room_i + delta_i) /
-  /// |coef_i| where delta_i = tol * max(1, |bound_i|) is each bound's
+  /// |coef_i| where delta_i = kFeasTol * max(1, |bound_i|) is each bound's
   /// expansion budget.  Pass 2 picks, among the candidates whose TRUE ratio
   /// fits under theta, the numerically largest pivot (deterministic ties to
   /// the smallest basis column index).  The chosen step may push other
@@ -808,15 +808,15 @@ class Engine {
     for (int i = 0; i < t_.m; ++i) {
       const double coef = sigma * w[i];
       const int bj = t_.basis[i];
-      if (coef > opt_.pivot_tol) {
+      if (coef > num::kPivotTol) {
         if (!std::isfinite(t_.lb[bj])) continue;
         const double room = std::max(0.0, t_.value[bj] - t_.lb[bj]);
-        const double budget = opt_.tol * num::rel_scale(t_.lb[bj]);
+        const double budget = num::kFeasTol * num::rel_scale(t_.lb[bj]);
         theta = std::min(theta, (room + budget) / coef);
-      } else if (coef < -opt_.pivot_tol) {
+      } else if (coef < -num::kPivotTol) {
         if (!std::isfinite(t_.ub[bj])) continue;
         const double room = std::max(0.0, t_.ub[bj] - t_.value[bj]);
-        const double budget = opt_.tol * num::rel_scale(t_.ub[bj]);
+        const double budget = num::kFeasTol * num::rel_scale(t_.ub[bj]);
         theta = std::min(theta, (room + budget) / (-coef));
       }
     }
@@ -827,10 +827,10 @@ class Engine {
       const int bj = t_.basis[i];
       double ratio;
       bool to_upper;
-      if (coef > opt_.pivot_tol && std::isfinite(t_.lb[bj])) {
+      if (coef > num::kPivotTol && std::isfinite(t_.lb[bj])) {
         ratio = std::max(0.0, t_.value[bj] - t_.lb[bj]) / coef;
         to_upper = false;
-      } else if (coef < -opt_.pivot_tol && std::isfinite(t_.ub[bj])) {
+      } else if (coef < -num::kPivotTol && std::isfinite(t_.ub[bj])) {
         ratio = std::max(0.0, t_.ub[bj] - t_.value[bj]) / (-coef);
         to_upper = true;
       } else {
@@ -853,37 +853,28 @@ class Engine {
   /// Pricing violation of nonbasic column j given reduced cost d, or 0
   /// when j prices out (not attractive at its resting bound).
   double pricing_violation(int j, double d) const {
-    if (t_.status[j] == VarStatus::AtLower && d < -opt_.tol) return -d;
-    if (t_.status[j] == VarStatus::AtUpper && d > opt_.tol) return d;
-    if (t_.status[j] == VarStatus::Free && std::abs(d) > opt_.tol)
+    if (t_.status[j] == VarStatus::AtLower && d < -num::kFeasTol) return -d;
+    if (t_.status[j] == VarStatus::AtUpper && d > num::kFeasTol) return d;
+    if (t_.status[j] == VarStatus::Free && std::abs(d) > num::kFeasTol)
       return std::abs(d);
     return 0.0;
   }
 
-  /// Dantzig full scan: largest violation over every nonbasic column
-  /// (smallest index on ties).  Bland mode takes the first eligible index
-  /// instead, which guarantees termination.
-  int price_dantzig(const std::vector<double>& c, const std::vector<double>& y,
-                    bool bland, double* enter_d) {
+  /// Bland's rule: the first nonbasic column, by index, that prices out
+  /// attractive.  Paired with the textbook ratio test it guarantees
+  /// termination.
+  int price_bland(const std::vector<double>& c, const std::vector<double>& y,
+                  double* enter_d) {
     ++pricing_passes_;
-    int enter = -1;
-    double best = 0;
     for (int j = 0; j < t_.num_cols(); ++j) {
       if (t_.status[j] == VarStatus::Basic || t_.is_fixed(j)) continue;
       const double d = reduced_cost(j, c, y);
-      const double violation = pricing_violation(j, d);
-      if (violation <= 0) continue;
-      if (bland) {  // first eligible index
+      if (pricing_violation(j, d) > 0) {
         *enter_d = d;
         return j;
       }
-      if (violation > best) {
-        best = violation;
-        enter = j;
-        *enter_d = d;
-      }
     }
-    return enter;
+    return -1;
   }
 
   /// Devex partial pricing: scan the nonbasic ring in windows of
@@ -892,8 +883,8 @@ class Engine {
   /// attractive column; the entering variable maximizes the devex-weighted
   /// violation d_j^2 / w_j (deterministic ties to the smallest column
   /// index).  When every window comes up empty the scan has walked the full
-  /// ring — exactly a Dantzig-style full pass — so "no candidate" certifies
-  /// optimality under the same tolerance as the full scan.
+  /// ring, so "no candidate" certifies optimality against every nonbasic
+  /// column.
   int price_devex(const std::vector<double>& c, const std::vector<double>& y,
                   double* enter_d) {
     ++pricing_passes_;
@@ -990,11 +981,10 @@ class Engine {
 
   SolveStatus iterate(const std::vector<double>& c, bool phase1) {
     int degenerate_run = 0;
-    const bool devex = opt_.pricing == PricingRule::Devex;
-    if (devex) reset_devex();
+    reset_devex();
     // y solves B^T y = c_B for the current factors whenever y_current is
-    // set: a bound flip keeps the basis and the costs, and a devex pivot
-    // that pushes an eta computes the next y in the fused BTRAN.
+    // set: a bound flip keeps the basis and the costs, and a pivot that
+    // pushes an eta computes the next y in the fused BTRAN.
     std::vector<double> y, rho;
     bool y_current = false;
     while (true) {
@@ -1013,14 +1003,10 @@ class Engine {
       if (!y_current) y = compute_y(c);
       y_current = true;
 
-      // --- Pricing (devex partial by default; see simplex.h) ---
-      int enter = -1;
+      // --- Pricing (devex partial pricing; see simplex.h) ---
       double enter_d = 0;
-      if (devex && !bland) {
-        enter = price_devex(c, y, &enter_d);
-      } else {
-        enter = price_dantzig(c, y, bland, &enter_d);
-      }
+      const int enter =
+          bland ? price_bland(c, y, &enter_d) : price_devex(c, y, &enter_d);
       if (enter < 0) return SolveStatus::Optimal;
 
       // Direction: sigma=+1 when the entering variable increases.
@@ -1031,17 +1017,16 @@ class Engine {
               : 1.0;
       const std::vector<double> w = ftran(enter);
 
-      // --- Ratio test (Harris two-pass by default; see simplex.h) ---
+      // --- Ratio test (Harris two-pass; see simplex.h) ---
       // Bland's anti-cycling guarantee needs smallest-index selection on
-      // BOTH sides of the pivot: entering (price_dantzig in bland mode)
-      // AND leaving.  Harris's largest-pivot choice breaks the guarantee —
-      // on heavily degenerate vertices the Bland endgame can revisit bases
-      // forever (observed as a ~100k-iteration cycle under partial
-      // pricing) — so Bland mode always uses the textbook rule, whose
-      // tie-break is the smallest basis column index.
-      const RatioChoice choice = opt_.harris && !bland
-                                     ? ratio_test_harris(sigma, w)
-                                     : ratio_test_textbook(sigma, w);
+      // BOTH sides of the pivot: entering (price_bland) AND leaving.
+      // Harris's largest-pivot choice breaks the guarantee — on heavily
+      // degenerate vertices the Bland endgame can revisit bases forever
+      // (observed as a ~100k-iteration cycle under partial pricing) — so
+      // Bland mode always uses the textbook rule, whose tie-break is the
+      // smallest basis column index.
+      const RatioChoice choice = bland ? ratio_test_textbook(sigma, w)
+                                       : ratio_test_harris(sigma, w);
       double t_max = choice.t_max;
       const int leave_pos = choice.leave_pos;
       const bool leave_to_upper = choice.leave_to_upper;
@@ -1061,7 +1046,7 @@ class Engine {
         return phase1 ? SolveStatus::NotSolved : SolveStatus::Unbounded;
       }
       t_max = std::max(0.0, t_max);
-      degenerate_run = t_max <= opt_.tol ? degenerate_run + 1 : 0;
+      degenerate_run = t_max <= num::kFeasTol ? degenerate_run + 1 : 0;
 
       // --- Apply the step ---
       for (int i = 0; i < t_.m; ++i) {
@@ -1099,7 +1084,7 @@ class Engine {
       const double pivot = w[leave_pos];
       double spike = 0;
       for (int i = 0; i < t_.m; ++i) spike = std::max(spike, std::abs(w[i]));
-      if (std::abs(pivot) < opt_.pivot_tol ||
+      if (std::abs(pivot) < num::kPivotTol ||
           std::abs(pivot) < num::kOptTol * spike ||
           factor_.eta_count() + 1 >= opt_.refactor_interval) {
         refactorize();
@@ -1107,11 +1092,8 @@ class Engine {
         continue;
       }
       factor_.push_eta(leave_pos, w);
-      y_current = devex;
-      if (devex) {
-        compute_y_and_rho(c, leave_pos, y, rho);
-        update_devex(enter, leave, pivot, rho);
-      }
+      compute_y_and_rho(c, leave_pos, y, rho);
+      update_devex(enter, leave, pivot, rho);
     }
   }
 
@@ -1151,74 +1133,6 @@ class Engine {
 
 }  // namespace
 
-namespace {
-
-/// Geometric-mean equilibration: substitute x_j = col[j] * x'_j and multiply
-/// row i by row[i] so that nonzero magnitudes cluster around 1.
-struct Scaled {
-  LinearProblem problem;
-  std::vector<double> row;  // row multipliers
-  std::vector<double> col;  // column multipliers (x = col .* x')
-};
-
-Scaled scale_problem(const LinearProblem& p) {
-  const int n = p.num_variables();
-  const int m = p.num_rows();
-  Scaled s;
-  s.row.assign(m, 1.0);
-  s.col.assign(n, 1.0);
-  const auto geo = [](double lo, double hi) { return std::sqrt(lo * hi); };
-  for (int pass = 0; pass < 3; ++pass) {
-    // Rows.
-    for (int r = 0; r < m; ++r) {
-      double lo = 0, hi = 0;
-      for (const RowEntry& e : p.row(r).entries) {
-        const double a = std::abs(e.coef) * s.col[e.col] * s.row[r];
-        if (a == 0) continue;
-        if (lo == 0 || a < lo) lo = a;
-        if (a > hi) hi = a;
-      }
-      if (hi > 0) s.row[r] /= geo(lo, hi);
-    }
-    // Columns.
-    std::vector<double> col_lo(n, 0), col_hi(n, 0);
-    for (int r = 0; r < m; ++r) {
-      for (const RowEntry& e : p.row(r).entries) {
-        const double a = std::abs(e.coef) * s.col[e.col] * s.row[r];
-        if (a == 0) continue;
-        if (col_lo[e.col] == 0 || a < col_lo[e.col]) col_lo[e.col] = a;
-        if (a > col_hi[e.col]) col_hi[e.col] = a;
-      }
-    }
-    for (int j = 0; j < n; ++j) {
-      if (col_hi[j] > 0) s.col[j] /= geo(col_lo[j], col_hi[j]);
-    }
-  }
-  // Assemble the scaled problem.
-  s.problem.set_sense(p.sense());
-  for (int j = 0; j < n; ++j) {
-    const double c = s.col[j];
-    const double lb = p.lower_bound(j);
-    const double ub = p.upper_bound(j);
-    s.problem.add_variable(std::isfinite(lb) ? lb / c : lb,
-                           std::isfinite(ub) ? ub / c : ub,
-                           p.objective_coef(j) * c, p.variable_name(j));
-  }
-  for (int r = 0; r < m; ++r) {
-    const Row& row = p.row(r);
-    std::vector<RowEntry> entries;
-    entries.reserve(row.entries.size());
-    for (const RowEntry& e : row.entries) {
-      entries.push_back({e.col, e.coef * s.row[r] * s.col[e.col]});
-    }
-    s.problem.add_row(row.type, row.rhs * s.row[r], std::move(entries),
-                      row.name);
-  }
-  return s;
-}
-
-}  // namespace
-
 LpSolution SimplexSolver::solve(const LinearProblem& problem) const {
   return solve(problem, nullptr);
 }
@@ -1231,64 +1145,43 @@ LpSolution SimplexSolver::solve(const LinearProblem& problem,
   LpSolution sol;
   bool warm_used = false;
 
-  if (options_.scale) {
-    // Scaled path: statuses are scale-invariant, so a snapshot carries
-    // over; presolve is skipped (its bookkeeping is in unscaled space).
-    const Scaled scaled = scale_problem(problem);
-    Engine engine(scaled.problem, options_);
-    warm_used = basis != nullptr && engine.try_warm_start(*basis);
-    sol = engine.run(warm_used);
-    if (sol.status == SolveStatus::Optimal) {
-      for (int j = 0; j < problem.num_variables(); ++j) {
-        sol.x[j] *= scaled.col[j];
-      }
-      for (int r = 0; r < problem.num_rows(); ++r) {
-        sol.duals[r] *= scaled.row[r];
-      }
-      // c' x' == c x, so the objective needs no adjustment; recompute anyway
-      // to wash out scaling round-off.
-      sol.objective = problem.objective_value(sol.x);
-      if (basis) *basis = engine.export_basis();
+  bool solved = false;
+  // A caller-supplied basis refers to the full problem, so an accepted
+  // warm start bypasses presolve entirely.
+  if (basis != nullptr && !basis->empty() &&
+      basis->compatible(problem.num_variables(), problem.num_rows())) {
+    Engine engine(problem, options_);
+    if (engine.try_warm_start(*basis)) {
+      warm_used = true;
+      sol = engine.run(true);
+      if (sol.ok()) *basis = engine.export_basis();
+      solved = true;
     }
-  } else {
-    bool solved = false;
-    // A caller-supplied basis refers to the full problem, so an accepted
-    // warm start bypasses presolve entirely.
-    if (basis != nullptr && !basis->empty() &&
-        basis->compatible(problem.num_variables(), problem.num_rows())) {
-      Engine engine(problem, options_);
-      if (engine.try_warm_start(*basis)) {
-        warm_used = true;
-        sol = engine.run(true);
-        if (sol.ok()) *basis = engine.export_basis();
-        solved = true;
+  }
+  if (!solved && options_.presolve) {
+    const PresolveResult pre = presolve(problem);
+    if (pre.infeasible) {
+      sol.status = SolveStatus::Infeasible;
+      solved = true;
+    } else if (!pre.unbounded) {
+      Engine engine(pre.reduced, options_);
+      const LpSolution red = engine.run(false);
+      sol = pre.postsolve(problem, red);
+      sol.stats.presolve_removed_rows = pre.removed_rows;
+      sol.stats.presolve_removed_cols = pre.removed_columns;
+      if (sol.ok() && basis) {
+        *basis = pre.lift_basis(problem, engine.export_basis());
       }
+      solved = true;
     }
-    if (!solved && options_.presolve) {
-      const PresolveResult pre = presolve(problem);
-      if (pre.infeasible) {
-        sol.status = SolveStatus::Infeasible;
-        solved = true;
-      } else if (!pre.unbounded) {
-        Engine engine(pre.reduced, options_);
-        const LpSolution red = engine.run(false);
-        sol = pre.postsolve(problem, red, options_.tol);
-        sol.stats.presolve_removed_rows = pre.removed_rows;
-        sol.stats.presolve_removed_cols = pre.removed_columns;
-        if (sol.ok() && basis) {
-          *basis = pre.lift_basis(problem, engine.export_basis());
-        }
-        solved = true;
-      }
-      // An `unbounded` verdict only proves an improving ray exists IF the
-      // rest of the model is feasible; fall through and let the full solve
-      // decide between Unbounded and Infeasible.
-    }
-    if (!solved) {
-      Engine engine(problem, options_);
-      sol = engine.run(false);
-      if (sol.ok() && basis) *basis = engine.export_basis();
-    }
+    // An `unbounded` verdict only proves an improving ray exists IF the
+    // rest of the model is feasible; fall through and let the full solve
+    // decide between Unbounded and Infeasible.
+  }
+  if (!solved) {
+    Engine engine(problem, options_);
+    sol = engine.run(false);
+    if (sol.ok() && basis) *basis = engine.export_basis();
   }
 
   if (warm_used) {

@@ -24,8 +24,8 @@
 // instance must use the relative helpers (approx_le & friends) with the
 // natural scale of the comparison — e.g. a capacity check passes the
 // capacity itself as `scale`.  Quantities that are *by construction* O(1)
-// (LP reduced costs after equilibration, probabilities, per-unit rates) may
-// use the constants absolutely.
+// (LP reduced costs on the well-scaled SPM models, probabilities, per-unit
+// rates) may use the constants absolutely.
 #pragma once
 
 #include <algorithm>
@@ -33,10 +33,11 @@
 
 namespace metis::num {
 
-/// Primal feasibility / reduced-cost working tolerance of the simplex
-/// (SimplexOptions::tol).  Also the Harris ratio test's bound-expansion
-/// budget: basic variables may transiently violate a bound by up to this
-/// much (times scale) in exchange for larger, safer pivots.
+/// Primal feasibility / reduced-cost working tolerance of the simplex and
+/// the sign tolerance of postsolve's row duals.  Also the Harris ratio
+/// test's bound-expansion budget: basic variables may transiently violate
+/// a bound by up to this much (times scale) in exchange for larger, safer
+/// pivots.
 inline constexpr double kFeasTol = 1e-7;
 
 /// Optimality / acceptance tolerance: objective agreement between two
@@ -46,8 +47,8 @@ inline constexpr double kFeasTol = 1e-7;
 inline constexpr double kOptTol = 1e-6;
 
 /// Pivot magnitude below which a column is rejected as numerically unsafe
-/// and the ratio test must look elsewhere (SimplexOptions::pivot_tol).
-/// Also the presolve fixing threshold: bounds closer than this are a fix.
+/// and the ratio test must look elsewhere.  Also the presolve fixing
+/// threshold: bounds closer than this are a fix.
 inline constexpr double kPivotTol = 1e-9;
 
 /// LU elimination pivot below which the basis is declared singular and the
@@ -55,7 +56,7 @@ inline constexpr double kPivotTol = 1e-9;
 inline constexpr double kSingularTol = 1e-12;
 
 /// Distance from the nearest integer at which a value still counts as
-/// integral (MipOptions::integrality_tol, rounding heuristics).
+/// integral (MIP branching, incumbent acceptance, rounding heuristics).
 inline constexpr double kIntegralityTol = 1e-6;
 
 /// Ceiling backoff for charged bandwidth units: ceil(peak - kCeilGuard), so

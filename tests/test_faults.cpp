@@ -389,8 +389,9 @@ TEST(FaultDegenerateLp, ZeroCapacityEdgesSolveCleanlyOnBothRatioTests) {
   // BL-SPM re-decide LP carries rows of the maximally degenerate form
   // "load <= 0".  Those rows are tied-at-zero ratio candidates for every
   // entering column they touch — exactly the shape that cycles a naive
-  // ratio test.  Both ratio-test paths must terminate, agree on the
-  // objective and keep the zeroed edges strictly unloaded.
+  // ratio test.  The default path (Harris) and bland_threshold = 0 (the
+  // textbook ratio test from the first pivot) must both terminate, agree
+  // on the objective and keep the zeroed edges strictly unloaded.
   const core::SpmInstance instance = make_instance(small_scenario(77));
   core::ChargingPlan caps;
   caps.units.assign(instance.num_edges(), 2);
@@ -399,7 +400,7 @@ TEST(FaultDegenerateLp, ZeroCapacityEdgesSolveCleanlyOnBothRatioTests) {
   const core::SpmModel model = core::build_bl_spm(instance, caps);
 
   lp::SimplexOptions textbook_opt;
-  textbook_opt.harris = false;
+  textbook_opt.bland_threshold = 0;
   const lp::LpSolution harris = lp::SimplexSolver().solve(model.problem);
   const lp::LpSolution textbook =
       lp::SimplexSolver(textbook_opt).solve(model.problem);

@@ -5,7 +5,8 @@
 //    optima — the oracle must be trustworthy before it is used as one;
 //  * the seeded sweep: >= 500 generated SPM-shaped LPs (benign, degenerate,
 //    near-singular, fault-mutated, badly scaled), each solved by the sparse
-//    solver (Harris ratio test on AND off) and the dense textbook reference,
+//    solver (devex pricing with the Harris ratio test, and Bland's rule with
+//    the textbook ratio test) and the dense textbook reference,
 //    cross-checking status, objective, primal feasibility and the full KKT
 //    certificate of the sparse solution.
 #include <gtest/gtest.h>
@@ -109,22 +110,21 @@ TEST(LpReference, CertificateCheckerCatchesBadDuals) {
 constexpr unsigned long long kNumCases = 600;  // acceptance floor is 500
 
 TEST(LpFuzz, SparseMatchesReferenceOverSeededSweep) {
-  // Four sparse-solver paths against the dense oracle: pricing rule
-  // (devex partial pricing / Dantzig full scan) crossed with the ratio
-  // test (Harris two-pass / textbook).  Devex and Dantzig may stop at
-  // different vertices of a shared optimal face, so only status and
-  // objective value are cross-checked — plus primal feasibility and the
-  // full KKT certificate, which every path must produce on its own.
+  // Two sparse-solver paths against the dense oracle: the default (devex
+  // partial pricing with the Harris two-pass ratio test) and
+  // bland_threshold = 0 (Bland's rule with the textbook ratio test from
+  // the first pivot, the path production takes after a run of degenerate
+  // pivots).  The two may stop at different vertices of a shared optimal
+  // face, so only status and objective value are cross-checked — plus
+  // primal feasibility and the full KKT certificate, which every path must
+  // produce on its own.
   struct SolverPath {
     const char* name;
-    PricingRule pricing;
-    bool harris;
+    int bland_threshold;
   };
   constexpr SolverPath kPaths[] = {
-      {"devex+harris", PricingRule::Devex, true},
-      {"devex+textbook", PricingRule::Devex, false},
-      {"dantzig+harris", PricingRule::Dantzig, true},
-      {"dantzig+textbook", PricingRule::Dantzig, false},
+      {"devex+harris", SimplexOptions{}.bland_threshold},
+      {"bland+textbook", 0},
   };
   int optimal = 0, infeasible = 0;
   for (unsigned long long seed = 1; seed <= kNumCases; ++seed) {
@@ -140,8 +140,7 @@ TEST(LpFuzz, SparseMatchesReferenceOverSeededSweep) {
 
     for (const SolverPath& path : kPaths) {
       SimplexOptions opt;
-      opt.pricing = path.pricing;
-      opt.harris = path.harris;
+      opt.bland_threshold = path.bland_threshold;
       const LpSolution sol = SimplexSolver(opt).solve(fc.problem);
       ASSERT_EQ(sol.status, ref.status) << fc.label << " (" << path.name
                                         << ')';

@@ -319,25 +319,26 @@ TEST(Simplex, IterationLimitReported) {
 TEST(Simplex, IterationLimitExposesNoHalfIteratedPoint) {
   // Contract: any non-Optimal status returns empty x/duals and objective 0 —
   // callers must never consume a partially pivoted point.  Holds on the
-  // plain, scaled, and presolve-bypassing paths alike, and a caller-supplied
+  // presolved and presolve-bypassing paths alike, and a caller-supplied
   // basis slot stays untouched.
   LinearProblem p(Sense::Minimize);
   const int x = p.add_variable(0, kInfinity, 1);
   const int y = p.add_variable(0, kInfinity, 1);
   p.add_row(RowType::GreaterEqual, 4, {{x, 1}, {y, 1}});
   p.add_row(RowType::GreaterEqual, 6, {{x, 1}, {y, 3}});
-  for (const bool scale : {false, true}) {
+  for (const bool presolve : {true, false}) {
     SimplexOptions options;
     options.max_iterations = 1;
-    options.scale = scale;
+    options.presolve = presolve;
     Basis basis;
     const LpSolution sol = SimplexSolver(options).solve(p, &basis);
-    EXPECT_EQ(sol.status, SolveStatus::IterationLimit) << "scale " << scale;
-    EXPECT_TRUE(sol.x.empty()) << "scale " << scale;
-    EXPECT_TRUE(sol.duals.empty()) << "scale " << scale;
-    EXPECT_EQ(sol.objective, 0.0) << "scale " << scale;
-    EXPECT_TRUE(basis.empty()) << "scale " << scale;
-    EXPECT_EQ(sol.stats.iterations, sol.iterations) << "scale " << scale;
+    EXPECT_EQ(sol.status, SolveStatus::IterationLimit)
+        << "presolve " << presolve;
+    EXPECT_TRUE(sol.x.empty()) << "presolve " << presolve;
+    EXPECT_TRUE(sol.duals.empty()) << "presolve " << presolve;
+    EXPECT_EQ(sol.objective, 0.0) << "presolve " << presolve;
+    EXPECT_TRUE(basis.empty()) << "presolve " << presolve;
+    EXPECT_EQ(sol.stats.iterations, sol.iterations) << "presolve " << presolve;
   }
 }
 

@@ -144,24 +144,6 @@ TEST(WarmStart, GarbageSnapshotIsRejectedNotTrusted) {
   EXPECT_LE(rel_diff(sol.objective, reference.objective), kTol);
 }
 
-TEST(WarmStart, WorksThroughTheScaledPath) {
-  // Basis statuses are scale-invariant, so snapshots carry across solves
-  // with geometric-mean scaling enabled.
-  const core::SpmInstance instance = small_instance(7, 20);
-  const core::SpmModel model = core::build_rl_spm(instance);
-  SimplexOptions options;
-  options.scale = true;
-  SimplexSolver solver(options);
-  Basis basis;
-  const LpSolution cold = solver.solve(model.problem, &basis);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_FALSE(basis.empty());
-  const LpSolution warm = solver.solve(model.problem, &basis);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm.stats.warm_starts, 1);
-  EXPECT_LE(rel_diff(warm.objective, cold.objective), kTol);
-}
-
 TEST(WarmStart, ObjectivePerturbationMatchesColdOnRandomSequence) {
   // Random-LP chain: re-solve with a slightly rotated objective from the
   // previous basis; every warm objective must match the cold one.
@@ -199,8 +181,9 @@ TEST(WarmStart, ObjectivePerturbationMatchesColdOnRandomSequence) {
 TEST(Degeneracy, TiedRatioCandidatesAgreeAcrossRatioTests) {
   // Twelve identical unit-value requests over duplicated shared capacity
   // rows: every ratio-test step sees a block of exactly tied candidates,
-  // and the duplicate rows force degenerate pivots.  Harris and textbook
-  // ratio tests may walk different vertex sequences but must land on the
+  // and the duplicate rows force degenerate pivots.  The default path
+  // (Harris) and bland_threshold = 0 (the textbook ratio test from the
+  // first pivot) may walk different vertex sequences but must land on the
   // same objective.  Presolve off so the duplicates actually reach the
   // simplex.
   LinearProblem p(Sense::Maximize);
@@ -214,7 +197,7 @@ TEST(Degeneracy, TiedRatioCandidatesAgreeAcrossRatioTests) {
   SimplexOptions harris_opt;
   harris_opt.presolve = false;
   SimplexOptions textbook_opt = harris_opt;
-  textbook_opt.harris = false;
+  textbook_opt.bland_threshold = 0;
   const LpSolution harris = SimplexSolver(harris_opt).solve(p);
   const LpSolution textbook = SimplexSolver(textbook_opt).solve(p);
   ASSERT_TRUE(harris.ok());
@@ -231,7 +214,7 @@ TEST(Degeneracy, DuplicateRateRequestsMatchAcrossRatioTests) {
   caps.units.assign(instance.num_edges(), 2);
   const core::SpmModel model = core::build_bl_spm(instance, caps);
   SimplexOptions textbook_opt;
-  textbook_opt.harris = false;
+  textbook_opt.bland_threshold = 0;
   const LpSolution harris = SimplexSolver().solve(model.problem);
   const LpSolution textbook = SimplexSolver(textbook_opt).solve(model.problem);
   ASSERT_TRUE(harris.ok());
@@ -411,15 +394,15 @@ TEST(WarmStart, DegenerateTiedRatiosStayPrimalFeasible) {
   // a 9e-5 primal violation that survives refactorization.  The two-pass
   // rule anchors the tie band (kTieTol-sized) at the final minimum, steps
   // exactly 1.0 and keeps the point feasible.  Warm-started from the slack
-  // basis so presolve cannot reduce the crafted rows away; harris = false
-  // exercises the textbook path.
+  // basis so presolve cannot reduce the crafted rows away;
+  // bland_threshold = 0 exercises the textbook path from the first pivot.
   LinearProblem p(Sense::Maximize);
   const int x = p.add_variable(0.0, 10.0, 1.0, "x");
   p.add_row(RowType::LessEqual, 1.0 + 0.9e-7, {{x, 1.0}});
   p.add_row(RowType::LessEqual, 1000.0, {{x, 1000.0}});
 
   SimplexOptions options;
-  options.harris = false;
+  options.bland_threshold = 0;
   Basis slack_basis;
   slack_basis.status = {BasisStatus::AtLower,  // x at 0
                         BasisStatus::Basic, BasisStatus::Basic};
