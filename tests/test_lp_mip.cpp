@@ -6,7 +6,9 @@
 #include <cmath>
 #include <vector>
 
+#include "baselines/opt.h"
 #include "lp/mip.h"
+#include "sim/scenario.h"
 #include "util/rng.h"
 
 namespace metis::lp {
@@ -163,6 +165,54 @@ TEST(Mip, NodeLimitKeepsIncumbent) {
   }
   EXPECT_TRUE(r.status == SolveStatus::NodeLimit ||
               r.status == SolveStatus::Optimal);
+}
+
+TEST(Mip, FailedNodeLpKeepsTheSearchOpen) {
+  // OPT(SPM) on SUB-B4 with node LPs capped at 39 iterations: some nodes
+  // hit the cap and are dropped unexplored.  The search must not report
+  // the incumbent it has at the end as proven optimal, and the bound it
+  // reports must still cover the optimum the uncapped search proves.
+  sim::Scenario sc;
+  sc.network = sim::Network::SubB4;
+  sc.num_requests = 10;
+  sc.seed = 3;
+  const core::SpmInstance instance = sim::make_instance(sc);
+  MipOptions options;
+  options.max_nodes = 20000;
+  const baselines::OptResult full = baselines::run_opt_spm(instance, options);
+  ASSERT_EQ(full.status, SolveStatus::Optimal);
+  ASSERT_TRUE(full.exact);
+
+  options.lp.max_iterations = 39;
+  const baselines::OptResult capped = baselines::run_opt_spm(instance, options);
+  EXPECT_EQ(capped.status, SolveStatus::IterationLimit);
+  EXPECT_FALSE(capped.exact);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_LE(capped.breakdown.profit, full.breakdown.profit + kTol);
+  EXPECT_GE(capped.best_bound, full.breakdown.profit - kTol);
+}
+
+TEST(Mip, FailedNodeLpWithoutIncumbentIsNotInfeasible) {
+  // 2 * (x0 + x1 + x2 + x3) = 5 has no integer solution, which the full
+  // search proves.  Capped at 4 iterations the root LP still solves but
+  // its children do not: a search that dropped nodes has proven nothing,
+  // so it must not read as Infeasible.
+  LinearProblem p(Sense::Maximize);
+  std::vector<int> ints;
+  std::vector<RowEntry> entries;
+  for (int i = 0; i < 4; ++i) {
+    const int col = p.add_variable(0, 4, 1 + i);
+    ints.push_back(col);
+    entries.push_back({col, 2});
+  }
+  p.add_row(RowType::Equal, 5, entries);
+  EXPECT_EQ(solve(p, ints).status, SolveStatus::Infeasible);
+
+  MipOptions options;
+  options.lp.max_iterations = 4;
+  const MipResult r = solve(p, ints, options);
+  EXPECT_FALSE(r.has_incumbent);
+  EXPECT_EQ(r.status, SolveStatus::IterationLimit);
 }
 
 TEST(Mip, BadIntegerIndexThrows) {
