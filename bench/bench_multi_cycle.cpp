@@ -10,7 +10,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/metis.h"
 #include "sim/simulator.h"
 #include "bench_util.h"
 #include "util/args.h"
@@ -21,9 +20,6 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const bool csv = args.get_bool("csv", false);
   const std::string telemetry_path = args.get("telemetry-json", "");
-  // `--shards N` routes the Metis policy through the sharded decomposition
-  // (core/coordinate.h); 1 (default) is the monolithic solve, bit for bit.
-  const int shards = args.get_int("shards", 1);
   sim::SimulationConfig config;
   config.base.network = sim::Network::B4;
   config.base.num_requests = args.get_int("requests", 150);
@@ -45,15 +41,12 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Extension: cumulative profit over " << config.cycles
             << " billing cycles (B4, demand +15%/cycle"
-            << (shards > 1 ? ", Metis sharded K=" + std::to_string(shards) : "")
             << (config.resume_path.empty()
                     ? ""
                     : ", resumed from " + config.resume_path)
             << ") ===\n\n";
-  core::MetisOptions metis_options;
-  metis_options.shards = shards;
   const sim::BillingCycleSimulator simulator(config);
-  const auto outcomes = simulator.run(sim::standard_policies(metis_options));
+  const auto outcomes = simulator.run(sim::standard_policies());
 
   TablePrinter cycles({"cycle", "offered", "accept-all", "EcoFlow", "Metis"});
   for (int cycle = 0; cycle < config.cycles; ++cycle) {

@@ -20,10 +20,6 @@ namespace {
 
 using namespace metis;
 
-// `--shards N` (stripped in main before benchmark::Initialize): shard count
-// applied to the Metis benchmarks below; 1 = the monolithic solve.
-int g_shards = 1;
-
 core::SpmInstance instance_for(int k, sim::Network net) {
   sim::Scenario s;
   s.network = net;
@@ -37,7 +33,6 @@ void BM_Metis_SubB4(benchmark::State& state) {
                                      sim::Network::SubB4);
   core::MetisOptions options;
   options.theta = 24;
-  options.shards = g_shards;
   lp::SolveStats stats;
   for (auto _ : state) {
     Rng rng(7);
@@ -51,31 +46,6 @@ void BM_Metis_SubB4(benchmark::State& state) {
   state.counters["cold_starts"] = stats.cold_starts;
 }
 BENCHMARK(BM_Metis_SubB4)->Arg(20)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
-
-// The sharded decomposition at fixed instance size over a shard-count sweep
-// (range(0) = requests, range(1) = K; K = 1 is the monolithic anchor).
-void BM_MetisSharded_B4(benchmark::State& state) {
-  const auto instance =
-      instance_for(static_cast<int>(state.range(0)), sim::Network::B4);
-  core::MetisOptions options;
-  options.shards = static_cast<int>(state.range(1));
-  int rounds = 0;
-  int fell_back = 0;
-  for (auto _ : state) {
-    Rng rng(7);
-    const auto result = core::run_metis(instance, rng, options);
-    benchmark::DoNotOptimize(result.best.profit);
-    rounds = result.shard.rounds;
-    fell_back = result.shard.fell_back ? 1 : 0;
-  }
-  state.counters["rounds"] = rounds;
-  state.counters["fell_back"] = fell_back;
-}
-BENCHMARK(BM_MetisSharded_B4)
-    ->Args({200, 1})
-    ->Args({200, 2})
-    ->Args({200, 4})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_OptSpm_SubB4(benchmark::State& state) {
   const auto instance = instance_for(static_cast<int>(state.range(0)),
@@ -126,13 +96,11 @@ BENCHMARK(BM_Taa_B4)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond
 
 }  // namespace
 
-// Custom main (instead of benchmark_main): `--telemetry-json` and
-// `--shards` must be stripped before benchmark::Initialize, which rejects
-// unknown flags.
+// Custom main (instead of benchmark_main): `--telemetry-json` must be
+// stripped before benchmark::Initialize, which rejects unknown flags.
 int main(int argc, char** argv) {
   const std::string telemetry_path =
       metis::bench::take_telemetry_json_arg(argc, argv);
-  g_shards = metis::bench::take_shards_arg(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -49,27 +49,6 @@ inline int threads_arg(int argc, char** argv) {
   return 0;
 }
 
-/// Parses and REMOVES `--shards N` / `--shards=N` from argv; returns 1
-/// (monolithic) when absent.  Removal matters for the google-benchmark
-/// drivers, whose Initialize() rejects unknown flags; the table benches
-/// parse the same flag through ArgParser instead.
-inline int take_shards_arg(int& argc, char** argv) {
-  int shards = 1;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  argv[argc] = nullptr;
-  return shards > 0 ? shards : 1;
-}
-
 /// Parses and REMOVES `<flag> <path>` / `<flag>=<path>` from argv; returns
 /// the path, or "" when absent.  Removal matters for the google-benchmark
 /// drivers, whose Initialize() rejects unknown flags.

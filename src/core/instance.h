@@ -46,7 +46,6 @@ class SpmInstance {
               const std::vector<net::Path>* require_paths = nullptr);
 
   const net::Topology& topology() const { return topology_; }
-  net::Topology& mutable_topology() { return topology_; }
   const std::vector<workload::Request>& requests() const { return requests_; }
   const workload::Request& request(int i) const { return requests_.at(i); }
 

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/coordinate.h"
 #include "util/log.h"
 #include "util/numeric.h"
 #include "util/telemetry.h"
@@ -104,6 +103,18 @@ double removal_saving(const SpmInstance& instance, const PeakTree& peaks,
          (charged_units(peak_with) - charged_units(peak_without));
 }
 
+/// Adds (sign = +1) or removes (sign = -1) request i's reservation on its
+/// candidate path `path_index` from a load matrix.
+void apply_request(const SpmInstance& instance, int i, int path_index,
+                   double sign, LoadMatrix& loads) {
+  const workload::Request& r = instance.request(i);
+  for (net::EdgeId e : instance.paths(i)[path_index].edges) {
+    for (int t = r.start_slot; t <= r.end_slot; ++t) {
+      loads.add(e, t, sign * r.rate);
+    }
+  }
+}
+
 }  // namespace
 
 int prune_unprofitable(const SpmInstance& instance, Schedule& schedule,
@@ -157,14 +168,6 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
                     int first_mutable) {
   validate_shape(instance, schedule);
   LoadMatrix loads = compute_loads(instance, schedule);
-  const auto apply = [&](int i, int j, double sign) {
-    const workload::Request& r = instance.request(i);
-    for (net::EdgeId e : instance.paths(i)[j].edges) {
-      for (int t = r.start_slot; t <= r.end_slot; ++t) {
-        loads.add(e, t, sign * r.rate);
-      }
-    }
-  };
   // Charged cost of the edges a move can touch, from current loads.
   const auto cost_of_edges = [&](const std::vector<net::EdgeId>& edges) {
     double total = 0;
@@ -194,19 +197,19 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
       double best_cost = cost_of_edges(touched);
       for (int j = 0; j < instance.num_paths(i); ++j) {
         if (j == current) continue;
-        apply(i, current, -1.0);
-        apply(i, j, +1.0);
+        apply_request(instance, i, current, -1.0, loads);
+        apply_request(instance, i, j, +1.0, loads);
         const double candidate_cost = cost_of_edges(touched);
-        apply(i, j, -1.0);
-        apply(i, current, +1.0);
+        apply_request(instance, i, j, -1.0, loads);
+        apply_request(instance, i, current, +1.0, loads);
         if (candidate_cost < best_cost - num::kImproveTol) {
           best_cost = candidate_cost;
           best = j;
         }
       }
       if (best != current) {
-        apply(i, current, -1.0);
-        apply(i, best, +1.0);
+        apply_request(instance, i, current, -1.0, loads);
+        apply_request(instance, i, best, +1.0, loads);
         schedule.path_choice[i] = best;
         ++moves;
         changed = true;
@@ -214,6 +217,61 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
     }
   }
   return moves;
+}
+
+int admit_profitable(const SpmInstance& instance, Schedule& schedule,
+                     int first_mutable,
+                     const std::vector<int>* edge_capacity) {
+  validate_shape(instance, schedule);
+  LoadMatrix loads = compute_loads(instance, schedule);
+  std::vector<double> peak(instance.num_edges());
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    peak[e] = loads.peak(e);
+  }
+  int admitted = 0;
+  for (;;) {
+    int best_i = kDeclined;
+    int best_j = kDeclined;
+    double best_margin = num::kImproveTol;
+    for (int i = first_mutable; i < instance.num_requests(); ++i) {
+      if (schedule.accepted(i)) continue;
+      const workload::Request& r = instance.request(i);
+      for (int j = 0; j < instance.num_paths(i); ++j) {
+        double marginal = 0;
+        bool feasible = true;
+        for (net::EdgeId e : instance.paths(i)[j].edges) {
+          double window_max = 0;
+          for (int t = r.start_slot; t <= r.end_slot; ++t) {
+            window_max = std::max(window_max, loads.at(e, t));
+          }
+          const double after = std::max(peak[e], window_max + r.rate);
+          const int units_after = charged_units(after);
+          if (edge_capacity != nullptr && (*edge_capacity)[e] >= 0 &&
+              units_after > (*edge_capacity)[e]) {
+            feasible = false;
+            break;
+          }
+          marginal += instance.topology().edge(e).price *
+                      (units_after - charged_units(peak[e]));
+        }
+        if (!feasible) continue;
+        const double margin = r.value - marginal;
+        if (margin > best_margin) {
+          best_margin = margin;
+          best_i = i;
+          best_j = j;
+        }
+      }
+    }
+    if (best_i == kDeclined) break;
+    schedule.path_choice[best_i] = best_j;
+    apply_request(instance, best_i, best_j, +1.0, loads);
+    for (net::EdgeId e : instance.paths(best_i)[best_j].edges) {
+      peak[e] = loads.peak(e);
+    }
+    ++admitted;
+  }
+  return admitted;
 }
 
 namespace {
@@ -414,14 +472,12 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
 
 MetisResult run_metis(const SpmInstance& instance, Rng& rng,
                       const MetisOptions& options) {
-  if (options.shards > 1) return run_metis_sharded(instance, nullptr, rng, options);
   return run_metis_impl(instance, rng, options, nullptr);
 }
 
 MetisResult run_metis_incremental(const SpmInstance& instance,
                                   IncrementalState& state, Rng& rng,
                                   const MetisOptions& options) {
-  if (options.shards > 1) return run_metis_sharded(instance, &state, rng, options);
   return run_metis_impl(instance, rng, options, &state);
 }
 

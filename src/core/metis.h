@@ -20,7 +20,6 @@
 #include "core/lp_builder.h"
 #include "core/maa.h"
 #include "core/schedule.h"
-#include "core/shard.h"
 #include "core/taa.h"
 #include "util/rng.h"
 
@@ -71,17 +70,6 @@ struct MetisOptions {
   /// away from links a fault shrank or killed.  nullptr (the default) is
   /// the historical uncapacitated loop, byte for byte.
   const std::vector<int>* edge_capacity = nullptr;
-  /// Scenario decomposition (core/shard.h, core/coordinate.h): partition
-  /// the DCs into this many shards, solve them concurrently, and reconcile
-  /// the shared WAN links with a bounded dual-price loop.  1 (the default)
-  /// is the monolithic solve, bit for bit; > 1 routes run_metis /
-  /// run_metis_incremental through run_metis_sharded, which itself falls
-  /// back to the monolithic path (also bit-identically) when the cut is
-  /// too dense or coordination fails — see MetisResult::shard.
-  int shards = 1;
-  /// Knobs of the coordination loop (rounds, gap tolerances, fallback
-  /// thresholds, solver threads); ignored when shards == 1.
-  ShardOptions shard;
 };
 
 /// One loop's bookkeeping (for convergence plots and the theta ablation).
@@ -106,9 +94,6 @@ struct MetisResult {
   lp::SolveStatus taa_status = lp::SolveStatus::NotSolved;
   /// LP work aggregated over every relaxation solved by the loop.
   lp::SolveStats lp_stats;
-  /// What the sharded path did (rounds, duality gap, fallback) when
-  /// MetisOptions::shards > 1; default-constructed for monolithic runs.
-  ShardInfo shard;
 };
 
 /// BW Limiter: among edges with plan.units above their floor, reduces the
@@ -140,6 +125,18 @@ int prune_unprofitable(const SpmInstance& instance, Schedule& schedule,
 /// below `first_mutable` are commitments and are never moved.
 int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
                     int first_mutable = 0);
+
+/// Greedy admission sweep: repeatedly accepts the declined request (at or
+/// past `first_mutable`) whose bid exceeds the marginal ceiled charging
+/// cost of its cheapest candidate path by the largest margin, until no
+/// profitable admission remains.  The complement of prune_unprofitable.
+/// Paths that would push an edge past `edge_capacity` (same convention as
+/// MetisOptions::edge_capacity; nullptr = uncapacitated) are skipped.
+/// Returns the number of requests admitted; every admission strictly
+/// increases evaluate(instance, schedule).profit.
+int admit_profitable(const SpmInstance& instance, Schedule& schedule,
+                     int first_mutable = 0,
+                     const std::vector<int>* edge_capacity = nullptr);
 
 /// Runs the full Metis loop.
 MetisResult run_metis(const SpmInstance& instance, Rng& rng,

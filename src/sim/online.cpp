@@ -120,7 +120,6 @@ std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   fp.mix(m.taa.augment);
   fp.mix(m.taa.fallback_mu);
   fp.mix(m.taa.cost_weight);
-  fp.mix(m.shards);
   const FaultConfig& f = config_.faults;
   fp.mix(f.rate);
   fp.mix(f.weight_link_failure);

@@ -48,15 +48,10 @@ Decision OptPolicy::decide(const core::SpmInstance& instance, Rng& rng) const {
 }
 
 std::vector<std::unique_ptr<Policy>> standard_policies() {
-  return standard_policies(core::MetisOptions{});
-}
-
-std::vector<std::unique_ptr<Policy>> standard_policies(
-    const core::MetisOptions& metis_options) {
   std::vector<std::unique_ptr<Policy>> policies;
   policies.push_back(std::make_unique<AcceptAllPolicy>());
   policies.push_back(std::make_unique<EcoFlowPolicy>());
-  policies.push_back(std::make_unique<MetisPolicy>(metis_options));
+  policies.push_back(std::make_unique<MetisPolicy>());
   return policies;
 }
 

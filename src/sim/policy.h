@@ -91,10 +91,4 @@ class OptPolicy : public Policy {
 /// examples: accept-all, EcoFlow, Metis (in that order).
 std::vector<std::unique_ptr<Policy>> standard_policies();
 
-/// As above with explicit Metis options — how the bench drivers thread
-/// `--shards N` (and any other MetisOptions knob) into the comparison set
-/// without touching the baseline policies.
-std::vector<std::unique_ptr<Policy>> standard_policies(
-    const core::MetisOptions& metis_options);
-
 }  // namespace metis::sim

@@ -262,6 +262,71 @@ TEST(Reroute, FixpointIsStable) {
   EXPECT_EQ(reroute_cheaper(instance, schedule), 0);
 }
 
+TEST(AdmitProfitable, AcceptsFreeRiderAndStopsAtCost) {
+  // One link, one unit purchased by request 0; request 1 fits inside the
+  // same unit (free to admit), request 2 would force a second unit its bid
+  // cannot pay for.
+  net::Topology topo(2);
+  topo.add_edge(0, 1, 2.0);
+  std::vector<workload::Request> requests = {
+      {0, 1, 0, 1, 0.6, 5.0},
+      {0, 1, 0, 1, 0.3, 0.5},  // 0.6 + 0.3 < 1 unit: rides free
+      {0, 1, 0, 1, 0.9, 1.0},  // forces charged 2 units (+2.0) for value 1.0
+  };
+  InstanceConfig config;
+  config.num_slots = 2;
+  const SpmInstance instance(std::move(topo), std::move(requests), config);
+  Schedule schedule = Schedule::all_declined(3);
+  schedule.path_choice[0] = 0;
+  const double before = evaluate(instance, schedule).profit;
+  EXPECT_EQ(admit_profitable(instance, schedule), 1);
+  EXPECT_TRUE(schedule.accepted(1));
+  EXPECT_FALSE(schedule.accepted(2));
+  EXPECT_GT(evaluate(instance, schedule).profit, before);
+  // Fixpoint: nothing more to admit.
+  EXPECT_EQ(admit_profitable(instance, schedule), 0);
+}
+
+TEST(AdmitProfitable, RespectsEdgeCapacity) {
+  net::Topology topo(2);
+  topo.add_edge(0, 1, 1.0);
+  std::vector<workload::Request> requests = {
+      {0, 1, 0, 1, 0.9, 5.0},
+      {0, 1, 0, 1, 0.9, 5.0},  // profitable, but needs a 2nd unit
+  };
+  InstanceConfig config;
+  config.num_slots = 2;
+  const SpmInstance instance(std::move(topo), std::move(requests), config);
+  Schedule schedule = Schedule::all_declined(2);
+  schedule.path_choice[0] = 0;
+  const std::vector<int> cap = {1};
+  EXPECT_EQ(admit_profitable(instance, schedule, 0, &cap), 0);
+  EXPECT_FALSE(schedule.accepted(1));
+  // Uncapacitated, the same admission goes through.
+  EXPECT_EQ(admit_profitable(instance, schedule), 1);
+}
+
+TEST(AdmitProfitable, NeverAdmitsBelowFirstMutable) {
+  // Two identical profitable requests, both declined.  With first_mutable
+  // = 1, request 0 is a committed decline and must stay declined.
+  net::Topology topo(2);
+  topo.add_edge(0, 1, 1.0);
+  std::vector<workload::Request> requests = {
+      {0, 1, 0, 1, 0.4, 5.0},
+      {0, 1, 0, 1, 0.4, 5.0},
+  };
+  InstanceConfig config;
+  config.num_slots = 2;
+  const SpmInstance instance(std::move(topo), std::move(requests), config);
+  Schedule schedule = Schedule::all_declined(2);
+  EXPECT_EQ(admit_profitable(instance, schedule, /*first_mutable=*/1), 1);
+  EXPECT_FALSE(schedule.accepted(0));
+  EXPECT_TRUE(schedule.accepted(1));
+  // At first_mutable the same request admits: it rides request 1's unit.
+  EXPECT_EQ(admit_profitable(instance, schedule, /*first_mutable=*/0), 1);
+  EXPECT_TRUE(schedule.accepted(0));
+}
+
 TEST(Metis, PruneOptionNeverHurts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const SpmInstance instance = instance_for(seed, 40);

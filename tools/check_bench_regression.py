@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Compare a bench baseline JSON against a freshly generated one.
 
-The bench drivers (bench_shard, bench_online_admission, ...) emit
+The bench drivers (bench_online_admission, bench_fault_tolerance, ...) emit
 machine-readable baselines with --baseline-json; the blessed copies live in
 bench/*_baseline.json.  This checker re-runs a bench (or takes a
 pre-generated file) and verifies that every DETERMINISTIC field still
 matches the blessed baseline:
 
-  * timing fields (wall_ms, speedup, anything *_ms) are machine-dependent
-    and only sanity-checked: finite, and strictly positive where the
-    baseline is positive;
+  * timing fields (wall_ms, anything *_ms) are machine-dependent and
+    only sanity-checked: finite, and strictly positive where the baseline
+    is positive;
   * every other number must match within a tight relative tolerance
     (default 1e-9 — the values are deterministic, the tolerance only
     absorbs printf round-tripping);
@@ -23,24 +23,25 @@ timing fields, and `family_index` is ignored, because a
 --benchmark_filter run renumbers it.  The counters (simplex_iters,
 factorizations, profit, ...) must match like any deterministic field.
 
-Arrays of objects are joined on their identifying keys (requests, shards,
-rate, batch_size, ...) rather than by position, so reordering is not a
-diff; an array whose rows do not have unique keys is compared by position
-instead.  With --allow-subset the current run may cover only some of the
-baseline's rows (e.g. a quick `--requests 150` slice in CI) — extra
+Arrays of objects are joined on their identifying keys (requests, rate,
+batch_size, ...) rather than by position, so reordering is not a diff; an
+array whose rows do not have unique keys is compared by position instead.
+With --allow-subset the current run may cover only some of the baseline's
+rows (e.g. the --benchmark_filter slice of bench_lp_solver in CI) — extra
 baseline rows are then skipped, but every row the current run DID produce
 must still match.
 
 Usage (standalone, from the repo root):
 
   # compare a pre-generated file
-  tools/check_bench_regression.py --baseline bench/shard_baseline.json \
-      --current /tmp/shard_now.json
+  tools/check_bench_regression.py \
+      --baseline bench/online_admission_baseline.json \
+      --current /tmp/online_admission_now.json
 
   # or let the checker drive the bench itself
-  tools/check_bench_regression.py --baseline bench/shard_baseline.json \
-      --bench build/bench/bench_shard --bench-args="--requests 150" \
-      --allow-subset
+  tools/check_bench_regression.py \
+      --baseline bench/online_admission_baseline.json \
+      --bench build/bench/bench_online_admission
 
 Registered as the `bench`-labeled ctest (see the top-level CMakeLists.txt);
 documented in docs/TUNING.md.
@@ -55,11 +56,11 @@ import sys
 import tempfile
 
 # Keys that identify a row inside an array of objects, in priority order.
-ID_KEYS = ("requests", "shards", "rate", "batch_size", "arrivals", "name")
+ID_KEYS = ("requests", "rate", "batch_size", "arrivals", "name")
 
 # Fields whose values depend on the machine and load, not the algorithm.
 TIMING_SUFFIXES = ("_ms", "_seconds", "_sec")
-TIMING_KEYS = {"speedup", "wall_ms", "threads"}
+TIMING_KEYS = {"wall_ms", "threads"}
 
 
 # Google Benchmark runs: the timing loop's count and times, and the family
