@@ -36,8 +36,6 @@ NodeId path_destination(const Topology& topo, const Path& path) {
 
 bool is_simple_path(const Topology& topo, const Path& path, NodeId src, NodeId dst) {
   if (path.empty()) return false;
-  if (path_source(topo, path) != src) return false;
-  if (path_destination(topo, path) != dst) return false;
   std::set<NodeId> seen{src};
   NodeId at = src;
   for (EdgeId e : path.edges) {
@@ -244,6 +242,16 @@ void PathCache::restore(const Dump& d) {
         "PathCache::restore: image epoch " + std::to_string(d.epoch) +
         " is ahead of the topology's epoch " +
         std::to_string(topo_->epoch()));
+  }
+  for (const Dump::Entry& e : d.entries) {
+    for (const Path& p : e.paths) {
+      if (!is_simple_path(*topo_, p, e.src, e.dst)) {
+        throw std::invalid_argument(
+            "PathCache::restore: a cached path for " + std::to_string(e.src) +
+            "->" + std::to_string(e.dst) +
+            " is not a simple path of the topology");
+      }
+    }
   }
   cache_.clear();
   for (const Dump::Entry& e : d.entries) {

@@ -35,7 +35,8 @@ NodeId path_source(const Topology& topo, const Path& path);
 /// Destination node of a non-empty path.
 NodeId path_destination(const Topology& topo, const Path& path);
 
-/// True if `path` is a contiguous, node-simple src->dst walk in `topo`.
+/// True if `path` is a contiguous, node-simple src->dst walk in `topo`
+/// (false, not a throw, for an edge id outside `topo`).
 bool is_simple_path(const Topology& topo, const Path& path, NodeId src, NodeId dst);
 
 /// Dijkstra; std::nullopt if dst is unreachable.  `forbidden_nodes` /
@@ -106,7 +107,9 @@ class PathCache {
   /// snapshot taken between a mutation and the next lookup carries the
   /// pre-mutation epoch; the restored cache then flushes on first lookup
   /// exactly as the live one would).  An image *ahead* of the topology's
-  /// epoch cannot have come from it, so that throws.
+  /// epoch cannot have come from it, and neither can a cached path that is
+  /// not a simple src->dst path of the topology: both throw
+  /// std::invalid_argument and leave the cache unchanged.
   void restore(const Dump& d);
 
  private:

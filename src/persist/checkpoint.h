@@ -7,8 +7,12 @@
 // structs; sim/online.cpp and sim/simulator.cpp convert through them.
 // Types that already live at or below core — workload::Request,
 // core::IncrementalState's ModelSnapshots, lp::SolveStats,
-// net::PathCache::Dump, telemetry::MetricsSnapshot — are serialized
-// directly.
+// net::PathCache::Dump, telemetry::MetricsSnapshot — are saved as they are.
+//
+// The codec (checkpoint.cpp) writes each record's wire layout once: one
+// field list per record and one section list per checkpoint kind, read by
+// both encode and decode.  A field's C++ type picks its wire width.  Adding
+// a field is one line in its record's list plus a kSnapshotVersion bump.
 //
 // What makes a resume byte-identical (the kill/restore contract of
 // tests/test_persist.cpp):

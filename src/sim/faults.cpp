@@ -31,6 +31,26 @@ std::string to_string(RepairPolicy policy) {
   return "unknown";
 }
 
+void mix_fault_config(serialize::Fingerprint& fp, const FaultConfig& faults,
+                      RepairPolicy policy, double refund_factor,
+                      int max_shed_rounds) {
+  fp.mix(faults.rate);
+  fp.mix(faults.weight_link_failure);
+  fp.mix(faults.weight_link_degrade);
+  fp.mix(faults.weight_node_outage);
+  fp.mix(faults.weight_price_shock);
+  fp.mix(faults.weight_demand_surge);
+  fp.mix(faults.degrade_keep_min);
+  fp.mix(faults.degrade_keep_max);
+  fp.mix(faults.price_shock_min);
+  fp.mix(faults.price_shock_max);
+  fp.mix(faults.surge_mean);
+  fp.mix(faults.stream);
+  fp.mix(to_string(policy));
+  fp.mix(refund_factor);
+  fp.mix(max_shed_rounds);
+}
+
 RepairPolicy parse_repair_policy(const std::string& name) {
   if (name == "drop") return RepairPolicy::DropAffected;
   if (name == "reroute") return RepairPolicy::Reroute;
@@ -654,37 +674,61 @@ void CommittedBook::export_state(persist::OnlineCheckpoint& ckpt) const {
 }
 
 void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
+  // Check the image against this book's topology before changing anything:
+  // a bad image throws std::invalid_argument and leaves the book as it was.
+  const auto reject = [](const std::string& why) {
+    throw std::invalid_argument("CommittedBook::restore_state: " + why);
+  };
   const persist::TopologyState& t = ckpt.topology;
-  if (static_cast<int>(t.price.size()) != topo_.num_edges() ||
-      static_cast<int>(t.node_enabled.size()) != topo_.num_nodes()) {
-    throw std::invalid_argument(
-        "CommittedBook::restore_state: topology image shape (" +
-        std::to_string(t.price.size()) + " edges, " +
-        std::to_string(t.node_enabled.size()) +
-        " nodes) does not match this book's topology");
+  const std::size_t num_edges = topo_.edges().size();
+  if (t.price.size() != num_edges || t.capacity_units.size() != num_edges ||
+      t.edge_enabled.size() != num_edges ||
+      t.node_enabled.size() != static_cast<std::size_t>(topo_.num_nodes())) {
+    reject("topology image does not fit the book's " +
+           std::to_string(num_edges) + " edges and " +
+           std::to_string(topo_.num_nodes()) + " nodes");
   }
-  for (net::EdgeId e = 0; e < topo_.num_edges(); ++e) {
-    topo_.restore_edge_state(e, t.price[e], t.capacity_units[e],
-                             t.edge_enabled[e] != 0);
+  for (std::size_t i = 0; i < ckpt.entries.size(); ++i) {
+    const persist::BookEntryState& image = ckpt.entries[i];
+    workload::validate_request(image.request, topo_.num_nodes(),
+                               config_.num_slots);
+    if (image.status < 0 || image.status > 2) {
+      reject("entry " + std::to_string(i) + " status out of range");
+    }
+    const bool accepted = image.status == static_cast<int>(Status::Accepted);
+    if (accepted ? !net::is_simple_path(topo_, image.path, image.request.src,
+                                        image.request.dst)
+                 : !image.path.empty()) {
+      reject("entry " + std::to_string(i) +
+             (accepted ? " is accepted without a simple src->dst path"
+                       : " holds a path but is not accepted"));
+    }
   }
-  for (net::NodeId node = 0; node < topo_.num_nodes(); ++node) {
-    topo_.restore_node_state(node, t.node_enabled[node] != 0);
+
+  // The topology setters reject negative prices and capacities, and the
+  // cache rejects a future epoch or a bad cached path; undo the topology if
+  // either throws.
+  const net::Topology pristine = topo_;
+  try {
+    for (net::EdgeId e = 0; e < topo_.num_edges(); ++e) {
+      topo_.restore_edge_state(e, t.price[e], t.capacity_units[e],
+                               t.edge_enabled[e] != 0);
+    }
+    for (net::NodeId node = 0; node < topo_.num_nodes(); ++node) {
+      topo_.restore_node_state(node, t.node_enabled[node] != 0);
+    }
+    topo_.restore_epoch(t.epoch);
+    cache_.restore(ckpt.cache);
+  } catch (...) {
+    topo_ = pristine;
+    throw;
   }
-  topo_.restore_epoch(t.epoch);
 
   entries_.clear();
   entries_.reserve(ckpt.entries.size());
   for (const persist::BookEntryState& image : ckpt.entries) {
-    Entry e;
-    e.request = image.request;
-    if (image.status < 0 || image.status > 2) {
-      throw std::invalid_argument(
-          "CommittedBook::restore_state: entry status out of range");
-    }
-    e.status = static_cast<Status>(image.status);
-    e.path = image.path;
-    e.was_committed = image.was_committed;
-    entries_.push_back(std::move(e));
+    entries_.push_back(Entry{image.request, static_cast<Status>(image.status),
+                             image.path, image.was_committed});
   }
   state_.maa = ckpt.inc.maa;
   state_.taa = ckpt.inc.taa;
@@ -698,7 +742,6 @@ void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
                       ckpt.fault_stats.shed_rounds,
                       ckpt.fault_stats.surge_arrivals};
   lp_stats_ = ckpt.book_lp_stats;
-  cache_.restore(ckpt.cache);
 }
 
 }  // namespace metis::sim

@@ -121,6 +121,12 @@ std::string to_string(RepairPolicy policy);
 /// Parses "drop" / "reroute" (the --repair-policy flag values).
 RepairPolicy parse_repair_policy(const std::string& name);
 
+/// Mixes the fault model and the repair settings (15 fields) into `fp`: the
+/// block both simulators' config fingerprints share.
+void mix_fault_config(serialize::Fingerprint& fp, const FaultConfig& faults,
+                      RepairPolicy policy, double refund_factor,
+                      int max_shed_rounds);
+
 struct RepairConfig {
   RepairPolicy policy = RepairPolicy::Reroute;
   /// Refund paid for a revoked commitment, as a fraction of its bid.
@@ -231,7 +237,11 @@ class CommittedBook {
   /// Rehydrates the book from a checkpoint taken by export_state against
   /// the same pristine topology (shape pinned by the config fingerprint).
   /// The topology is restored through the epoch-preserving setters, so the
-  /// reloaded PathCache image stays valid.
+  /// reloaded PathCache image stays valid.  The image is validated first:
+  /// topology vector sizes and values, each entry's request and status, a
+  /// simple src->dst path on every accepted entry and none on the others,
+  /// and the path cache image.  A bad image throws std::invalid_argument
+  /// and leaves the book unchanged.
   void restore_state(const persist::OnlineCheckpoint& ckpt);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -45,13 +44,6 @@ std::vector<BatchRecord> from_batch_states(
   return batches;
 }
 
-std::string hex_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
 /// Loads and vets a resume snapshot: the config fingerprint must match
 /// (the arrival/fault streams are derived from the config, so a different
 /// config would silently diverge, not resume).
@@ -61,8 +53,8 @@ persist::OnlineCheckpoint load_resume(const std::string& path,
   if (ckpt.config_fingerprint != fingerprint) {
     throw std::runtime_error(
         "online resume: config fingerprint mismatch (snapshot " +
-        hex_fingerprint(ckpt.config_fingerprint) + ", current config " +
-        hex_fingerprint(fingerprint) +
+        serialize::hex_fingerprint(ckpt.config_fingerprint) +
+        ", current config " + serialize::hex_fingerprint(fingerprint) +
         "): '" + path + "' was taken under a different configuration");
   }
   telemetry::Registry::global().restore(ckpt.metrics);
@@ -88,23 +80,7 @@ void write_checkpoint(const OnlineConfig& config,
 
 std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   serialize::Fingerprint fp;
-  const Scenario& base = config_.base;
-  fp.mix(to_string(base.network));
-  fp.mix(base.num_requests);
-  fp.mix(base.seed);
-  fp.mix(base.instance.num_slots);
-  fp.mix(base.instance.max_paths);
-  fp.mix(base.uniform_capacity);
-  fp.mix(base.poisson_arrivals);
-  const workload::GeneratorConfig& w = base.workload;
-  fp.mix(w.num_slots);
-  fp.mix(w.min_rate);
-  fp.mix(w.max_rate);
-  fp.mix(w.value_per_unit_slot);
-  fp.mix(w.value_noise);
-  fp.mix(w.low_value_fraction);
-  fp.mix(w.low_value_min);
-  fp.mix(w.low_value_max);
+  mix_scenario(fp, config_.base);
   fp.mix(config_.arrivals_per_slot);
   fp.mix(config_.batch_size);
   fp.mix(config_.max_batch_delay);
@@ -120,22 +96,8 @@ std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   fp.mix(m.taa.augment);
   fp.mix(m.taa.fallback_mu);
   fp.mix(m.taa.cost_weight);
-  const FaultConfig& f = config_.faults;
-  fp.mix(f.rate);
-  fp.mix(f.weight_link_failure);
-  fp.mix(f.weight_link_degrade);
-  fp.mix(f.weight_node_outage);
-  fp.mix(f.weight_price_shock);
-  fp.mix(f.weight_demand_surge);
-  fp.mix(f.degrade_keep_min);
-  fp.mix(f.degrade_keep_max);
-  fp.mix(f.price_shock_min);
-  fp.mix(f.price_shock_max);
-  fp.mix(f.surge_mean);
-  fp.mix(f.stream);
-  fp.mix(to_string(config_.repair_policy));
-  fp.mix(config_.refund_factor);
-  fp.mix(config_.max_shed_rounds);
+  mix_fault_config(fp, config_.faults, config_.repair_policy,
+                   config_.refund_factor, config_.max_shed_rounds);
   return fp.value();
 }
 

@@ -38,4 +38,23 @@ core::SpmInstance make_instance(const Scenario& scenario) {
                            scenario.instance);
 }
 
+void mix_scenario(serialize::Fingerprint& fp, const Scenario& scenario) {
+  fp.mix(to_string(scenario.network));
+  fp.mix(scenario.num_requests);
+  fp.mix(scenario.seed);
+  fp.mix(scenario.instance.num_slots);
+  fp.mix(scenario.instance.max_paths);
+  fp.mix(scenario.uniform_capacity);
+  fp.mix(scenario.poisson_arrivals);
+  const workload::GeneratorConfig& w = scenario.workload;
+  fp.mix(w.num_slots);
+  fp.mix(w.min_rate);
+  fp.mix(w.max_rate);
+  fp.mix(w.value_per_unit_slot);
+  fp.mix(w.value_noise);
+  fp.mix(w.low_value_fraction);
+  fp.mix(w.low_value_min);
+  fp.mix(w.low_value_max);
+}
+
 }  // namespace metis::sim

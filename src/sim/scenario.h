@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/instance.h"
+#include "util/serialize.h"
 #include "workload/generator.h"
 
 namespace metis::sim {
@@ -37,5 +38,9 @@ net::Topology make_network(const Scenario& scenario);
 /// Expands the scenario into a ready instance (topology + generated
 /// workload + candidate paths).
 core::SpmInstance make_instance(const Scenario& scenario);
+
+/// Mixes the 15 fields that decide a scenario's instances into `fp`: the
+/// block both simulators' config fingerprints open with.
+void mix_scenario(serialize::Fingerprint& fp, const Scenario& scenario);
 
 }  // namespace metis::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "persist/checkpoint.h"
@@ -24,13 +23,6 @@ FaultStats from_image(const persist::FaultStatsImage& s) {
   return FaultStats{s.injected,  s.network_changes, s.repairs,
                     s.victims,   s.dropped,         s.rerouted,
                     s.shed_rounds, s.surge_arrivals};
-}
-
-std::string hex_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
 }
 
 }  // namespace
@@ -121,41 +113,11 @@ void BillingCycleSimulator::replay_faults(const core::SpmInstance& instance,
 std::uint64_t BillingCycleSimulator::config_fingerprint(
     const std::vector<std::unique_ptr<Policy>>& policies) const {
   serialize::Fingerprint fp;
-  const Scenario& base = config_.base;
-  fp.mix(to_string(base.network));
-  fp.mix(base.num_requests);
-  fp.mix(base.seed);
-  fp.mix(base.instance.num_slots);
-  fp.mix(base.instance.max_paths);
-  fp.mix(base.uniform_capacity);
-  fp.mix(base.poisson_arrivals);
-  const workload::GeneratorConfig& w = base.workload;
-  fp.mix(w.num_slots);
-  fp.mix(w.min_rate);
-  fp.mix(w.max_rate);
-  fp.mix(w.value_per_unit_slot);
-  fp.mix(w.value_noise);
-  fp.mix(w.low_value_fraction);
-  fp.mix(w.low_value_min);
-  fp.mix(w.low_value_max);
+  mix_scenario(fp, config_.base);
   fp.mix(config_.cycles);
   fp.mix(config_.demand_growth);
-  const FaultConfig& f = config_.faults;
-  fp.mix(f.rate);
-  fp.mix(f.weight_link_failure);
-  fp.mix(f.weight_link_degrade);
-  fp.mix(f.weight_node_outage);
-  fp.mix(f.weight_price_shock);
-  fp.mix(f.weight_demand_surge);
-  fp.mix(f.degrade_keep_min);
-  fp.mix(f.degrade_keep_max);
-  fp.mix(f.price_shock_min);
-  fp.mix(f.price_shock_max);
-  fp.mix(f.surge_mean);
-  fp.mix(f.stream);
-  fp.mix(to_string(config_.repair_policy));
-  fp.mix(config_.refund_factor);
-  fp.mix(config_.max_shed_rounds);
+  mix_fault_config(fp, config_.faults, config_.repair_policy,
+                   config_.refund_factor, config_.max_shed_rounds);
   fp.mix(static_cast<int>(policies.size()));
   for (const auto& policy : policies) fp.mix(policy->name());
   return fp.value();
@@ -183,8 +145,9 @@ std::vector<PolicyOutcome> BillingCycleSimulator::run(
     if (ckpt.config_fingerprint != fingerprint) {
       throw std::runtime_error(
           "simulator resume: config fingerprint mismatch (snapshot " +
-          hex_fingerprint(ckpt.config_fingerprint) + ", current run " +
-          hex_fingerprint(fingerprint) + "): '" + config_.resume_path +
+          serialize::hex_fingerprint(ckpt.config_fingerprint) +
+          ", current run " + serialize::hex_fingerprint(fingerprint) +
+          "): '" + config_.resume_path +
           "' was taken under a different configuration or policy roster");
     }
     if (ckpt.num_policies != num_policies || ckpt.cycles_done < 0 ||

@@ -1,6 +1,7 @@
 #include "util/serialize.h"
 
 #include <array>
+#include <cstdio>
 
 namespace metis::serialize {
 
@@ -27,6 +28,13 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
     crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+std::string hex_fingerprint(std::uint64_t fp) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
 }
 
 }  // namespace metis::serialize
