@@ -246,7 +246,8 @@ TEST(ParserDiagnostics, FileErrorsNameThePath) {
 // The binary container carries checkpoints; a damaged file must fail with a
 // clean SnapshotError naming the source — never crash, never yield a
 // half-parsed reader (under ASan/UBSan this is the memory-safety witness
-// for the restore path).
+// for the restore path).  Damage inside a payload whose CRCs are valid
+// reaches the checkpoint decoder instead: PayloadFuzz in test_persist.cpp.
 
 std::vector<std::uint8_t> fuzz_container(Rng& rng) {
   persist::SnapshotWriter w;
