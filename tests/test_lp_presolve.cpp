@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
+#include "core/accounting.h"
 #include "core/lp_builder.h"
+#include "core/metis.h"
 #include "lp/presolve.h"
 #include "lp/simplex.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace metis::lp {
 namespace {
@@ -356,6 +361,191 @@ TEST_P(PresolveProperty, PreservesOptimumOnRandomLps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PresolveProperty, ::testing::Range(0, 40));
+
+// ------------------------------------------- solve-path pins ------------
+//
+// CRC-32 pins of presolve's output and of a cold solve plus a warm re-solve
+// on five LPs of the shapes Metis solves.  Presolve, the engine build and
+// the LU all sum duplicate and eliminated entries in a fixed order; a
+// change to any of them that moves a single bit of a reduced row, a pivot,
+// x, a dual or a basis status fails here.
+
+void put_problem(serialize::ByteWriter& out, const LinearProblem& p) {
+  out.u8(static_cast<std::uint8_t>(p.sense()));
+  out.i32(p.num_variables());
+  for (int j = 0; j < p.num_variables(); ++j) {
+    out.f64(p.lower_bound(j));
+    out.f64(p.upper_bound(j));
+    out.f64(p.objective_coef(j));
+  }
+  out.i32(p.num_rows());
+  for (const Row& row : p.rows()) {
+    out.u8(static_cast<std::uint8_t>(row.type));
+    out.f64(row.rhs);
+    out.u64(row.entries.size());
+    for (const RowEntry& e : row.entries) {
+      out.i32(e.col);
+      out.f64(e.coef);
+    }
+  }
+}
+
+std::uint32_t presolve_crc(const PresolveResult& pr) {
+  serialize::ByteWriter out;
+  out.boolean(pr.infeasible);
+  out.boolean(pr.unbounded);
+  put_problem(out, pr.reduced);
+  for (int c : pr.col_map) out.i32(c);
+  for (int r : pr.row_map) out.i32(r);
+  for (double v : pr.fixed_value) out.f64(v);
+  out.f64(pr.objective_offset);
+  out.i32(pr.removed_columns);
+  out.i32(pr.removed_rows);
+  for (const PresolveResult::SingletonRow& s : pr.eliminated_singletons) {
+    out.i32(s.row);
+    out.i32(s.col);
+    out.f64(s.coef);
+    out.f64(s.bound);
+  }
+  return serialize::crc32(out.bytes());
+}
+
+struct SolvePin {
+  SolveStatus status;
+  int warm_starts;
+  long iterations;
+  int factorizations;
+  std::uint32_t crc;  ///< objective, x, duals and basis statuses
+};
+
+SolvePin pin_of(const LpSolution& sol, const Basis& basis) {
+  serialize::ByteWriter out;
+  out.f64(sol.objective);
+  for (double v : sol.x) out.f64(v);
+  for (double v : sol.duals) out.f64(v);
+  for (BasisStatus s : basis.status) out.u8(static_cast<std::uint8_t>(s));
+  return {sol.status, sol.stats.warm_starts, sol.stats.iterations,
+          sol.stats.factorizations, serialize::crc32(out.bytes())};
+}
+
+void expect_pin(const SolvePin& got, const SolvePin& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.warm_starts, want.warm_starts);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.factorizations, want.factorizations);
+  EXPECT_EQ(got.crc, want.crc);
+}
+
+struct LpPin {
+  std::uint32_t presolve;
+  SolvePin cold;
+  SolvePin warm;  ///< re-solve from the basis the cold solve exported
+};
+
+void expect_pinned(const LinearProblem& p, const LpPin& want) {
+  EXPECT_EQ(presolve_crc(presolve(p)), want.presolve);
+  Basis basis;
+  const LpSolution cold = SimplexSolver().solve(p, &basis);
+  const SolvePin got_cold = pin_of(cold, basis);
+  {
+    SCOPED_TRACE("cold solve");
+    expect_pin(got_cold, want.cold);
+  }
+  const LpSolution warm = SimplexSolver().solve(p, &basis);
+  const SolvePin got_warm = pin_of(warm, basis);
+  {
+    SCOPED_TRACE("warm re-solve");
+    expect_pin(got_warm, want.warm);
+  }
+}
+
+/// The B4 book the pins are taken on: K = 60, scenario seed 1.
+const core::SpmInstance& pin_instance() {
+  static const core::SpmInstance instance = [] {
+    sim::Scenario scenario;
+    scenario.network = sim::Network::B4;
+    scenario.num_requests = 60;
+    scenario.seed = 1;
+    return sim::make_instance(scenario);
+  }();
+  return instance;
+}
+
+/// Every request of `instance` in [first, last) on its first candidate
+/// path; the rest declined.
+core::Schedule first_paths(const core::SpmInstance& instance, int first,
+                           int last) {
+  core::Schedule schedule =
+      core::Schedule::all_declined(instance.num_requests());
+  for (int i = first; i < last; ++i) {
+    if (instance.num_paths(i) > 0) schedule.path_choice[i] = 0;
+  }
+  return schedule;
+}
+
+TEST(SolvePathPins, RlSpm) {
+  expect_pinned(core::build_rl_spm(pin_instance()).problem,
+                {0xf0b68b0e, {SolveStatus::Optimal, 0, 470, 5, 0x7835123a},
+                 {SolveStatus::Optimal, 1, 1, 1, 0x2b7ddb81}});
+}
+
+TEST(SolvePathPins, BlSpmUnderTrimmedPlan) {
+  const core::SpmInstance& instance = pin_instance();
+  const core::Schedule all = first_paths(instance, 0, instance.num_requests());
+  core::ChargingPlan plan =
+      core::charging_from_loads(core::compute_loads(instance, all));
+  for (int k = 0; k < 3; ++k) {
+    core::trim_min_utilization_link(instance, all, plan);
+  }
+  expect_pinned(core::build_bl_spm(instance, plan).problem,
+                {0x751e3fe2, {SolveStatus::Optimal, 0, 127, 1, 0xc071db09},
+                 {SolveStatus::Optimal, 1, 3, 1, 0x015b0a5e}});
+}
+
+TEST(SolvePathPins, RlSpmWithPinnedPrefix) {
+  // The online shape: the first 20 requests are committed and move to the
+  // capacity rows' rhs; a cell only they load gives a singleton row.  The
+  // basis lifted out of presolve does not warm-start the re-solve, which
+  // therefore repeats the cold solve.
+  const core::SpmInstance& instance = pin_instance();
+  const core::LoadMatrix pinned =
+      core::compute_loads(instance, first_paths(instance, 0, 20));
+  std::vector<bool> accepted(instance.num_requests(), false);
+  for (int i = 20; i < instance.num_requests(); ++i) accepted[i] = true;
+  expect_pinned(core::build_rl_spm(instance, accepted, &pinned).problem,
+                {0xb5c9a71f, {SolveStatus::Optimal, 0, 316, 4, 0xe39bf782},
+                 {SolveStatus::Optimal, 0, 316, 4, 0xe39bf782}});
+}
+
+TEST(SolvePathPins, RlSpmWithZeroPurchaseCaps) {
+  // The fault shape: capped-at-zero purchase columns are fixed, and
+  // presolve substitutes them into the capacity rows.
+  const core::SpmInstance& instance = pin_instance();
+  std::vector<int> cap(instance.num_edges(), -1);
+  for (int e = 0; e < instance.num_edges(); e += 17) cap[e] = 0;
+  for (int e = 3; e < instance.num_edges(); e += 17) cap[e] = 2;
+  expect_pinned(core::build_rl_spm(instance, {}, nullptr, &cap).problem,
+                {0x893c0782, {SolveStatus::Optimal, 0, 372, 4, 0xddf332af},
+                 {SolveStatus::Optimal, 1, 1, 1, 0x1f74297a}});
+}
+
+TEST(SolvePathPins, RepeatedAndCancellingEntries) {
+  LinearProblem p(Sense::Maximize);
+  const int x = p.add_variable(0, 4, 3);
+  const int y = p.add_variable(0, 5, 2);
+  const int z = p.add_variable(-1, 6, -1);
+  const int f = p.add_variable(1.5, 1.5, 1);  // fixed: substituted
+  const int w = p.add_variable(0, kInfinity, 0.5);
+  // x, y and w repeat non-adjacently; x's pair in row 1 and w's pair in
+  // row 3 cancel exactly.
+  p.add_row(RowType::LessEqual, 10, {{x, 1}, {y, 2}, {x, 0.5}, {f, 1}});
+  p.add_row(RowType::GreaterEqual, 1, {{y, 1}, {x, 0.3}, {z, 1}, {x, -0.3}});
+  p.add_row(RowType::LessEqual, 7, {{z, 2}, {w, 1}, {y, 0.25}, {w, 0.5}});
+  p.add_row(RowType::LessEqual, 9, {{w, 1}, {x, 1}, {w, -1}, {f, 2}});
+  p.add_row(RowType::Equal, 3, {{x, 1}, {y, 1}, {z, 1}, {w, -1}, {y, 0.5}});
+  expect_pinned(p, {0x7d30de72, {SolveStatus::Optimal, 0, 7, 1, 0xdedf03c0},
+                 {SolveStatus::Optimal, 1, 1, 1, 0x3f0e522e}});
+}
 
 }  // namespace
 }  // namespace metis::lp
