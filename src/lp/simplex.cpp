@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -20,18 +19,16 @@ namespace {
 
 enum class VarStatus { Basic, AtLower, AtUpper, Free };
 
-/// Sparse column: the nonzeros of one variable across all rows.
-struct Column {
-  std::vector<int> row;
-  std::vector<double> coef;
-};
-
 /// Whole working state of one solve.  All columns (structural, slack,
-/// artificial) share the index space [0, num_cols).
+/// artificial) share the index space [0, num_cols) and one compressed
+/// column store: column j's nonzeros are row/coef[start[j], start[j + 1]),
+/// in ascending row order.
 struct Tableau {
   int m = 0;                 // rows
   int n_struct = 0;          // structural columns
-  std::vector<Column> cols;  // per column nonzeros
+  std::vector<int> start;    // column starts, num_cols + 1 of them
+  std::vector<int> row;      // row of each nonzero
+  std::vector<double> coef;  // value of each nonzero
   std::vector<double> lb, ub, value;
   std::vector<VarStatus> status;
   std::vector<double> b;       // row rhs
@@ -39,8 +36,15 @@ struct Tableau {
   std::vector<int> basis_row;  // basis_row[j] = position of basic col j, or -1
   std::vector<int> artificials;
 
-  int num_cols() const { return static_cast<int>(cols.size()); }
+  int num_cols() const { return static_cast<int>(start.size()) - 1; }
   bool is_fixed(int j) const { return lb[j] == ub[j]; }
+  /// Appends a column whose one nonzero is `c` on row `r` (a slack or an
+  /// artificial).
+  void add_unit_column(int r, double c) {
+    row.push_back(r);
+    coef.push_back(c);
+    start.push_back(static_cast<int>(row.size()));
+  }
 };
 
 /// Sparse LU factorization of the basis (left-looking elimination with
@@ -54,66 +58,77 @@ struct Tableau {
 ///   BTRAN: y = B^{-T} c  via reverse transposed etas, forward U^T-solve,
 ///          scatter through P^T, backward transposed Lhat application.
 /// FTRAN results are indexed by basis position; BTRAN results by row.
+///
+/// L, U and the eta file are each packed back to back, one offset array
+/// plus index/value arrays, in the order factorize and push_eta produce
+/// them; factorize clears them but keeps their capacity.
 class BasisFactor {
  public:
   /// Factorizes the columns `basis[k]` of `t`.  Clears the eta file.
   /// Returns false when the basis is numerically singular.
   bool factorize(const Tableau& t, const std::vector<int>& basis) {
     m_ = static_cast<int>(basis.size());
-    lcols_.assign(m_, {});
-    ucols_.assign(m_, {});
+    lstart_.assign(1, 0);
+    lrow_.clear();
+    lmult_.clear();
+    ustart_.assign(1, 0);
+    upos_.clear();
+    uval_.clear();
+    udiag_.assign(m_, 0.0);
     pivot_row_.assign(m_, -1);
-    etas_.clear();
-    std::vector<int> pivot_pos(m_, -1);  // row -> pivot position, or -1
-    std::vector<double> x(m_, 0.0);
-    std::vector<char> seen(m_, 0);
-    std::vector<int> touched;
-    touched.reserve(m_);
+    eta_start_.assign(1, 0);
+    eta_pos_.clear();
+    eta_pivot_.clear();
+    eta_idx_.clear();
+    eta_val_.clear();
+    pivot_pos_.assign(m_, -1);
+    x_.assign(m_, 0.0);
+    seen_.assign(m_, 0);
+    touched_.clear();
     // Earlier pivots whose pivot row the column has touched, as a min-heap
     // of positions: only they can hold a nonzero to eliminate.
-    std::vector<int> pending;
+    pending_.clear();
     const auto touch = [&](int r) {
-      if (!seen[r]) {
-        seen[r] = 1;
-        touched.push_back(r);
-        if (pivot_pos[r] >= 0) {
-          pending.push_back(pivot_pos[r]);
-          std::push_heap(pending.begin(), pending.end(), std::greater<>());
+      if (!seen_[r]) {
+        seen_[r] = 1;
+        touched_.push_back(r);
+        if (pivot_pos_[r] >= 0) {
+          pending_.push_back(pivot_pos_[r]);
+          std::push_heap(pending_.begin(), pending_.end(), std::greater<>());
         }
       }
     };
     for (int k = 0; k < m_; ++k) {
-      const Column& col = t.cols[basis[k]];
-      for (std::size_t i = 0; i < col.row.size(); ++i) {
-        x[col.row[i]] = col.coef[i];
-        touch(col.row[i]);
+      const int col = basis[k];
+      for (int p = t.start[col]; p < t.start[col + 1]; ++p) {
+        x_[t.row[p]] = t.coef[p];
+        touch(t.row[p]);
       }
       // Left-looking: apply earlier pivots in ascending position order; the
       // value sitting on pivot row j right before its elimination is
       // exactly U's entry u_jk.  Eliminating pivot j touches only rows no
       // pivot up to j claims, so every position it queues lies above j and
       // the heap yields each touched pivot once, in order.
-      UCol& u = ucols_[k];
-      while (!pending.empty()) {
-        std::pop_heap(pending.begin(), pending.end(), std::greater<>());
-        const int j = pending.back();
-        pending.pop_back();
-        const double xr = x[pivot_row_[j]];
+      while (!pending_.empty()) {
+        std::pop_heap(pending_.begin(), pending_.end(), std::greater<>());
+        const int j = pending_.back();
+        pending_.pop_back();
+        const double xr = x_[pivot_row_[j]];
         if (xr == 0.0) continue;
-        u.pos.push_back(j);
-        u.val.push_back(xr);
-        const LCol& l = lcols_[j];
-        for (std::size_t i = 0; i < l.row.size(); ++i) {
-          x[l.row[i]] -= l.mult[i] * xr;
-          touch(l.row[i]);
+        upos_.push_back(j);
+        uval_.push_back(xr);
+        for (int p = lstart_[j]; p < lstart_[j + 1]; ++p) {
+          x_[lrow_[p]] -= lmult_[p] * xr;
+          touch(lrow_[p]);
         }
       }
+      ustart_.push_back(static_cast<int>(upos_.size()));
       // Partial pivoting over rows not yet claimed by an earlier pivot.
       int piv = -1;
       double best = 0.0;
-      for (int r : touched) {
-        if (pivot_pos[r] >= 0) continue;
-        const double a = std::abs(x[r]);
+      for (int r : touched_) {
+        if (pivot_pos_[r] >= 0) continue;
+        const double a = std::abs(x_[r]);
         if (a > best || (a == best && a > 0.0 && r < piv)) {
           best = a;
           piv = r;
@@ -127,28 +142,24 @@ class BasisFactor {
         fail_pos_ = k;
         fail_rows_.clear();
         for (int r = 0; r < m_; ++r) {
-          if (pivot_pos[r] < 0) fail_rows_.push_back(r);
-        }
-        for (int r : touched) {
-          x[r] = 0.0;
-          seen[r] = 0;
+          if (pivot_pos_[r] < 0) fail_rows_.push_back(r);
         }
         return false;
       }
       pivot_row_[k] = piv;
-      pivot_pos[piv] = k;
-      u.diag = x[piv];
-      LCol& l = lcols_[k];
-      for (int r : touched) {
-        if (pivot_pos[r] >= 0 || x[r] == 0.0) continue;
-        l.row.push_back(r);
-        l.mult.push_back(x[r] / u.diag);
+      pivot_pos_[piv] = k;
+      udiag_[k] = x_[piv];
+      for (int r : touched_) {
+        if (pivot_pos_[r] >= 0 || x_[r] == 0.0) continue;
+        lrow_.push_back(r);
+        lmult_.push_back(x_[r] / udiag_[k]);
       }
-      for (int r : touched) {
-        x[r] = 0.0;
-        seen[r] = 0;
+      lstart_.push_back(static_cast<int>(lrow_.size()));
+      for (int r : touched_) {
+        x_[r] = 0.0;
+        seen_[r] = 0;
       }
-      touched.clear();
+      touched_.clear();
     }
     return true;
   }
@@ -159,29 +170,28 @@ class BasisFactor {
     for (int j = 0; j < m_; ++j) {
       const double xr = w[pivot_row_[j]];
       if (xr == 0.0) continue;
-      const LCol& l = lcols_[j];
-      for (std::size_t i = 0; i < l.row.size(); ++i) {
-        w[l.row[i]] -= l.mult[i] * xr;
+      for (int p = lstart_[j]; p < lstart_[j + 1]; ++p) {
+        w[lrow_[p]] -= lmult_[p] * xr;
       }
     }
     z.assign(m_, 0.0);
     for (int k = 0; k < m_; ++k) z[k] = w[pivot_row_[k]];
     for (int k = m_ - 1; k >= 0; --k) {
       if (z[k] == 0.0) continue;
-      z[k] /= ucols_[k].diag;
-      const UCol& u = ucols_[k];
-      for (std::size_t i = 0; i < u.pos.size(); ++i) {
-        z[u.pos[i]] -= u.val[i] * z[k];
+      z[k] /= udiag_[k];
+      for (int p = ustart_[k]; p < ustart_[k + 1]; ++p) {
+        z[upos_[p]] -= uval_[p] * z[k];
       }
     }
-    for (const Eta& e : etas_) {
-      const double zr = z[e.r] / e.pivot;
+    for (int e = 0; e < eta_count(); ++e) {
+      const int r = eta_pos_[e];
+      const double zr = z[r] / eta_pivot_[e];
       if (zr != 0.0) {
-        for (std::size_t i = 0; i < e.idx.size(); ++i) {
-          z[e.idx[i]] -= e.val[i] * zr;
+        for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p) {
+          z[eta_idx_[p]] -= eta_val_[p] * zr;
         }
       }
-      z[e.r] = zr;
+      z[r] = zr;
     }
   }
 
@@ -211,19 +221,18 @@ class BasisFactor {
   /// Records the basis change at position `r` with FTRAN spike `w`
   /// (position space): new B = old B * E where E's column r is w.
   void push_eta(int r, const std::vector<double>& w) {
-    Eta e;
-    e.r = r;
-    e.pivot = w[r];
+    eta_pos_.push_back(r);
+    eta_pivot_.push_back(w[r]);
     for (int i = 0; i < m_; ++i) {
       if (i != r && w[i] != 0.0) {
-        e.idx.push_back(i);
-        e.val.push_back(w[i]);
+        eta_idx_.push_back(i);
+        eta_val_.push_back(w[i]);
       }
     }
-    etas_.push_back(std::move(e));
+    eta_start_.push_back(static_cast<int>(eta_idx_.size()));
   }
 
-  int eta_count() const { return static_cast<int>(etas_.size()); }
+  int eta_count() const { return static_cast<int>(eta_pos_.size()); }
 
   /// After a failed factorize: the basis position whose column had no
   /// acceptable pivot, and the rows left unclaimed (ascending).
@@ -237,15 +246,15 @@ class BasisFactor {
   void btran_etas(const std::array<double*, N>& z, int newest,
                   int oldest = 0) const {
     for (int e = newest; e >= oldest; --e) {
-      const Eta& eta = etas_[e];
+      const int r = eta_pos_[e];
       std::array<double, N> acc;
-      for (std::size_t v = 0; v < N; ++v) acc[v] = z[v][eta.r];
-      for (std::size_t i = 0; i < eta.idx.size(); ++i) {
+      for (std::size_t v = 0; v < N; ++v) acc[v] = z[v][r];
+      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p) {
         for (std::size_t v = 0; v < N; ++v) {
-          acc[v] -= eta.val[i] * z[v][eta.idx[i]];
+          acc[v] -= eta_val_[p] * z[v][eta_idx_[p]];
         }
       }
-      for (std::size_t v = 0; v < N; ++v) z[v][eta.r] = acc[v] / eta.pivot;
+      for (std::size_t v = 0; v < N; ++v) z[v][r] = acc[v] / eta_pivot_[e];
     }
   }
 
@@ -256,14 +265,13 @@ class BasisFactor {
                 const std::array<std::vector<double>*, N>& y) const {
     std::array<double, N> acc;
     for (int k = 0; k < m_; ++k) {
-      const UCol& u = ucols_[k];
       for (std::size_t v = 0; v < N; ++v) acc[v] = z[v][k];
-      for (std::size_t i = 0; i < u.pos.size(); ++i) {
+      for (int p = ustart_[k]; p < ustart_[k + 1]; ++p) {
         for (std::size_t v = 0; v < N; ++v) {
-          acc[v] -= u.val[i] * z[v][u.pos[i]];
+          acc[v] -= uval_[p] * z[v][upos_[p]];
         }
       }
-      for (std::size_t v = 0; v < N; ++v) z[v][k] = acc[v] / u.diag;
+      for (std::size_t v = 0; v < N; ++v) z[v][k] = acc[v] / udiag_[k];
     }
     std::array<double*, N> out;
     for (std::size_t v = 0; v < N; ++v) {
@@ -272,70 +280,96 @@ class BasisFactor {
       for (int k = 0; k < m_; ++k) out[v][pivot_row_[k]] = z[v][k];
     }
     for (int j = m_ - 1; j >= 0; --j) {
-      const LCol& l = lcols_[j];
       const int r = pivot_row_[j];
       for (std::size_t v = 0; v < N; ++v) acc[v] = out[v][r];
-      for (std::size_t i = 0; i < l.row.size(); ++i) {
+      for (int p = lstart_[j]; p < lstart_[j + 1]; ++p) {
         for (std::size_t v = 0; v < N; ++v) {
-          acc[v] -= l.mult[i] * out[v][l.row[i]];
+          acc[v] -= lmult_[p] * out[v][lrow_[p]];
         }
       }
       for (std::size_t v = 0; v < N; ++v) out[v][r] = acc[v];
     }
   }
 
-  struct LCol {  // elimination multipliers of one pivot, by original row
-    std::vector<int> row;
-    std::vector<double> mult;
-  };
-  struct UCol {  // strictly-upper entries (by pivot position) + diagonal
-    std::vector<int> pos;
-    std::vector<double> val;
-    double diag = 0;
-  };
-  struct Eta {  // product-form update at position r with spike (idx, val)
-    int r = 0;
-    double pivot = 0;
-    std::vector<int> idx;
-    std::vector<double> val;
-  };
-
   int m_ = 0;
-  std::vector<LCol> lcols_;
-  std::vector<UCol> ucols_;
+  // L: pivot k's elimination multipliers, by original row, are
+  // lrow_/lmult_[lstart_[k], lstart_[k + 1]).
+  std::vector<int> lstart_, lrow_;
+  std::vector<double> lmult_;
+  // U: column k's strictly-upper entries, by pivot position, are
+  // upos_/uval_[ustart_[k], ustart_[k + 1]); its diagonal is udiag_[k].
+  std::vector<int> ustart_, upos_;
+  std::vector<double> uval_, udiag_;
   std::vector<int> pivot_row_;  // pivot_row_[k] = original row of pivot k
-  std::vector<Eta> etas_;
+  // Eta file: eta e updates basis position eta_pos_[e] with pivot
+  // eta_pivot_[e] and spike eta_idx_/eta_val_[eta_start_[e],
+  // eta_start_[e + 1]).
+  std::vector<int> eta_start_, eta_pos_, eta_idx_;
+  std::vector<double> eta_pivot_, eta_val_;
+  // factorize's scratch, kept between calls for its capacity.
+  std::vector<int> pivot_pos_;  // row -> pivot position, or -1
+  std::vector<double> x_;       // the column being eliminated, by row
+  std::vector<char> seen_;      // row is in touched_
+  std::vector<int> touched_;    // rows the column has touched
+  std::vector<int> pending_;    // min-heap of pivot positions to apply
   int fail_pos_ = -1;           // basis position of the last failure
   std::vector<int> fail_rows_;  // unclaimed rows of the last failure
 };
 
-/// Builds sparse columns from the row-wise LinearProblem, merging duplicate
-/// column references within a row.
+/// Fills the column store with the structural columns of the row-wise
+/// LinearProblem by a counting sort.  Rows are visited in ascending order,
+/// so each column's entries land in ascending row order and repeated
+/// references to a column within one row land side by side, where they
+/// are summed in entry order; exact zeros are dropped afterwards.
 void build_structural(const LinearProblem& p, Tableau& t) {
   t.m = p.num_rows();
   t.n_struct = p.num_variables();
-  t.cols.resize(t.n_struct);
   t.lb.resize(t.n_struct);
   t.ub.resize(t.n_struct);
   for (int j = 0; j < t.n_struct; ++j) {
     t.lb[j] = p.lower_bound(j);
     t.ub[j] = p.upper_bound(j);
   }
-  // Collect (row, col) -> coef with duplicate merging.
-  std::vector<std::map<int, double>> by_col(t.n_struct);
+  std::vector<int>& start = t.start;
+  start.assign(t.n_struct + 1, 0);
+  for (const Row& row : p.rows()) {
+    for (const RowEntry& e : row.entries) ++start[e.col + 1];
+  }
+  for (int j = 0; j < t.n_struct; ++j) start[j + 1] += start[j];
+  // Room for the slacks and for as many artificials.
+  t.row.reserve(start[t.n_struct] + 2 * t.m);
+  t.coef.reserve(start[t.n_struct] + 2 * t.m);
+  t.row.resize(start[t.n_struct]);
+  t.coef.resize(start[t.n_struct]);
+  std::vector<int> end(start.begin(), start.end() - 1);  // fill cursors
   for (int r = 0; r < t.m; ++r) {
     for (const RowEntry& e : p.row(r).entries) {
-      by_col[e.col][r] += e.coef;
-    }
-  }
-  for (int j = 0; j < t.n_struct; ++j) {
-    for (const auto& [r, c] : by_col[j]) {
-      if (c != 0.0) {
-        t.cols[j].row.push_back(r);
-        t.cols[j].coef.push_back(c);
+      int& k = end[e.col];
+      if (k > start[e.col] && t.row[k - 1] == r) {
+        t.coef[k - 1] += e.coef;
+      } else {
+        t.row[k] = r;
+        t.coef[k] = e.coef;
+        ++k;
       }
     }
   }
+  // Close the gaps merging left and drop the exact zeros.
+  int out = 0;
+  for (int j = 0; j < t.n_struct; ++j) {
+    const int begin = start[j];
+    start[j] = out;
+    for (int k = begin; k < end[j]; ++k) {
+      if (t.coef[k] == 0.0) continue;
+      t.row[out] = t.row[k];
+      t.coef[out] = t.coef[k];
+      ++out;
+    }
+  }
+  start[t.n_struct] = out;
+  t.row.resize(out);
+  t.coef.resize(out);
+  t.start.reserve(t.n_struct + 2 * t.m + 1);
   t.b.resize(t.m);
   for (int r = 0; r < t.m; ++r) t.b[r] = p.row(r).rhs;
 }
@@ -343,10 +377,7 @@ void build_structural(const LinearProblem& p, Tableau& t) {
 /// Appends one slack column per row (coefficient +1).
 void add_slacks(const LinearProblem& p, Tableau& t) {
   for (int r = 0; r < t.m; ++r) {
-    Column col;
-    col.row.push_back(r);
-    col.coef.push_back(1.0);
-    t.cols.push_back(std::move(col));
+    t.add_unit_column(r, 1.0);
     switch (p.row(r).type) {
       case RowType::LessEqual:
         t.lb.push_back(0.0);
@@ -501,7 +532,8 @@ class Engine {
     for (int j = 0; j < t_.n_struct; ++j) obj += cost_[j] * t_.value[j];
     out.objective = sign_ * obj;
     // Duals: y = c_B B^{-1}, flipped back for maximization.
-    std::vector<double> y = compute_y(cost_);
+    std::vector<double> y;
+    compute_y(cost_, y);
     out.duals.assign(t_.m, 0.0);
     for (int r = 0; r < t_.m; ++r) out.duals[r] = sign_ * y[r];
     return out;
@@ -544,9 +576,8 @@ class Engine {
     std::vector<double> resid = t_.b;
     for (int j = 0; j < t_.n_struct; ++j) {
       if (t_.value[j] == 0.0) continue;
-      const Column& col = t_.cols[j];
-      for (std::size_t k = 0; k < col.row.size(); ++k) {
-        resid[col.row[k]] -= col.coef[k] * t_.value[j];
+      for (int p = t_.start[j]; p < t_.start[j + 1]; ++p) {
+        resid[t_.row[p]] -= t_.coef[p] * t_.value[j];
       }
     }
     t_.basis.assign(t_.m, -1);
@@ -561,10 +592,7 @@ class Engine {
             clamped == t_.lb[slack] ? VarStatus::AtLower : VarStatus::AtUpper;
         t_.value[slack] = clamped;
         const double excess = resid[r] - clamped;
-        Column art;
-        art.row.push_back(r);
-        art.coef.push_back(excess > 0 ? 1.0 : -1.0);
-        t_.cols.push_back(std::move(art));
+        t_.add_unit_column(r, excess > 0 ? 1.0 : -1.0);
         t_.lb.push_back(0.0);
         t_.ub.push_back(kInfinity);
         t_.value.push_back(std::abs(excess));
@@ -585,34 +613,29 @@ class Engine {
     t_.basis_row[col] = row;
   }
 
-  std::vector<double> compute_y(const std::vector<double>& c) const {
-    std::vector<double> z(t_.m, 0.0);
-    for (int k = 0; k < t_.m; ++k) z[k] = c[t_.basis[k]];
-    std::vector<double> y;
-    factor_.btran(z, y);
-    return y;
+  /// The duals y = B^{-T} c_B into `y`.
+  void compute_y(const std::vector<double>& c, std::vector<double>& y) {
+    btran_z_.assign(t_.m, 0.0);
+    for (int k = 0; k < t_.m; ++k) btran_z_[k] = c[t_.basis[k]];
+    factor_.btran(btran_z_, y);
   }
 
   double reduced_cost(int j, const std::vector<double>& c,
                       const std::vector<double>& y) const {
     double d = c[j];
-    const Column& col = t_.cols[j];
-    for (std::size_t k = 0; k < col.row.size(); ++k) {
-      d -= y[col.row[k]] * col.coef[k];
+    for (int p = t_.start[j]; p < t_.start[j + 1]; ++p) {
+      d -= y[t_.row[p]] * t_.coef[p];
     }
     return d;
   }
 
-  /// B^{-1} a_j, indexed by basis position.
-  std::vector<double> ftran(int j) const {
-    std::vector<double> w(t_.m, 0.0);
-    const Column& col = t_.cols[j];
-    for (std::size_t k = 0; k < col.row.size(); ++k) {
-      w[col.row[k]] = col.coef[k];
+  /// The spike B^{-1} a_j, indexed by basis position, into `spike_`.
+  void ftran(int j) {
+    ftran_rhs_.assign(t_.m, 0.0);
+    for (int p = t_.start[j]; p < t_.start[j + 1]; ++p) {
+      ftran_rhs_[t_.row[p]] = t_.coef[p];
     }
-    std::vector<double> z;
-    factor_.ftran(w, z);
-    return z;
+    factor_.ftran(ftran_rhs_, spike_);
   }
 
   /// Right after the eta of a pivot at basis position `r` was pushed:
@@ -622,11 +645,11 @@ class Engine {
   /// the quantity the devex weight recurrence needs per nonbasic column.
   void compute_y_and_rho(const std::vector<double>& c, int r,
                          std::vector<double>& y, std::vector<double>& rho) {
-    std::vector<double> z(t_.m, 0.0);
-    for (int k = 0; k < t_.m; ++k) z[k] = c[t_.basis[k]];
-    std::vector<double> zr(t_.m, 0.0);
-    zr[r] = 1.0;
-    factor_.btran_pair(z, y, zr, rho);
+    btran_z_.assign(t_.m, 0.0);
+    for (int k = 0; k < t_.m; ++k) btran_z_[k] = c[t_.basis[k]];
+    btran_zr_.assign(t_.m, 0.0);
+    btran_zr_[r] = 1.0;
+    factor_.btran_pair(btran_z_, y, btran_zr_, rho);
   }
 
   /// Builds the row-wise copy of every column that update_devex reads
@@ -634,19 +657,16 @@ class Engine {
   void build_rows() {
     const int n = t_.num_cols();
     row_start_.assign(t_.m + 1, 0);
-    for (const Column& col : t_.cols) {
-      for (int r : col.row) ++row_start_[r + 1];
-    }
+    for (int r : t_.row) ++row_start_[r + 1];
     for (int r = 0; r < t_.m; ++r) row_start_[r + 1] += row_start_[r];
     row_col_.resize(row_start_[t_.m]);
     row_coef_.resize(row_start_[t_.m]);
     std::vector<int> fill(row_start_.begin(), row_start_.end() - 1);
     for (int j = 0; j < n; ++j) {
-      const Column& col = t_.cols[j];
-      for (std::size_t k = 0; k < col.row.size(); ++k) {
-        const int p = fill[col.row[k]]++;
+      for (int k = t_.start[j]; k < t_.start[j + 1]; ++k) {
+        const int p = fill[t_.row[k]]++;
         row_col_[p] = j;
-        row_coef_[p] = col.coef[k];
+        row_coef_[p] = t_.coef[k];
       }
     }
     alpha_row_.assign(n, 0.0);
@@ -709,9 +729,8 @@ class Engine {
     std::vector<double> rhs = t_.b;
     for (int j = 0; j < t_.num_cols(); ++j) {
       if (t_.status[j] == VarStatus::Basic || t_.value[j] == 0.0) continue;
-      const Column& col = t_.cols[j];
-      for (std::size_t k = 0; k < col.row.size(); ++k) {
-        rhs[col.row[k]] -= col.coef[k] * t_.value[j];
+      for (int p = t_.start[j]; p < t_.start[j + 1]; ++p) {
+        rhs[t_.row[p]] -= t_.coef[p] * t_.value[j];
       }
     }
     std::vector<double> z;
@@ -1000,7 +1019,7 @@ class Engine {
         refactorize();
         y_current = false;
       }
-      if (!y_current) y = compute_y(c);
+      if (!y_current) compute_y(c, y);
       y_current = true;
 
       // --- Pricing (devex partial pricing; see simplex.h) ---
@@ -1015,7 +1034,8 @@ class Engine {
            (t_.status[enter] == VarStatus::Free && enter_d > 0))
               ? -1.0
               : 1.0;
-      const std::vector<double> w = ftran(enter);
+      ftran(enter);
+      const std::vector<double>& w = spike_;
 
       // --- Ratio test (Harris two-pass; see simplex.h) ---
       // Bland's anti-cycling guarantee needs smallest-index selection on
@@ -1112,7 +1132,10 @@ class Engine {
   BasisFactor factor_;
   std::vector<double> cost_;  // minimization costs over all columns
   std::vector<double> devex_;  // devex reference weights, one per column
-  // Row-wise copy of t_.cols for the devex pivot row (build_rows): row r's
+  // Per-iteration scratch, kept for its capacity: ftran's row-space
+  // right-hand side and its spike, and the BTRAN right-hand sides.
+  std::vector<double> ftran_rhs_, spike_, btran_z_, btran_zr_;
+  // Row-wise copy of the column store for the devex pivot row (build_rows): row r's
   // entries are row_col_/row_coef_[row_start_[r], row_start_[r + 1]).
   std::vector<int> row_start_;
   std::vector<int> row_col_;
