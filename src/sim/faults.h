@@ -161,10 +161,18 @@ struct FaultStats {
 /// Rng argument.  The final book is validated by validate(): the accepted
 /// schedule must pass sim::check_schedule and the purchase must physically
 /// fit the mutated network.
+///
+/// A book is neither copyable nor movable: its path cache points at its
+/// own topology, so a copy or a moved-to book would keep reading the
+/// source's.  Construct each book in place.
 class CommittedBook {
  public:
   CommittedBook(net::Topology topo, core::InstanceConfig config,
                 RepairConfig repair);
+  CommittedBook(const CommittedBook&) = delete;
+  CommittedBook& operator=(const CommittedBook&) = delete;
+  CommittedBook(CommittedBook&&) = delete;
+  CommittedBook& operator=(CommittedBook&&) = delete;
 
   const net::Topology& topology() const { return topo_; }
 

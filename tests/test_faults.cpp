@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/lp_builder.h"
@@ -134,25 +135,36 @@ Scenario small_scenario(std::uint64_t seed) {
   return scenario;
 }
 
-// Adopts a Metis decision into a book and returns (book, instance profit).
+RepairConfig repair_with(RepairPolicy policy) {
+  RepairConfig repair;
+  repair.policy = policy;
+  return repair;
+}
+
+// A book that adopted a Metis decision, with the decision's profit and
+// acceptance count.  Built in place: a book can be neither copied nor
+// moved.
 struct AdoptedBook {
+  AdoptedBook(std::uint64_t seed, RepairPolicy policy)
+      : AdoptedBook(make_instance(small_scenario(seed)), seed, policy) {}
+  AdoptedBook(const core::SpmInstance& instance, std::uint64_t seed,
+              RepairPolicy policy)
+      : book(instance.topology(), instance.config(), repair_with(policy)) {
+    Rng rng(seed * 31 + 1);
+    const core::MetisResult decision = core::run_metis(instance, rng);
+    profit = decision.best.profit;
+    accepted = decision.best.accepted;
+    book.adopt(instance, decision.schedule);
+  }
+
   CommittedBook book;
   double profit = 0;
   int accepted = 0;
 };
-
-AdoptedBook make_adopted(std::uint64_t seed, RepairPolicy policy) {
-  const core::SpmInstance instance = make_instance(small_scenario(seed));
-  Rng rng(seed * 31 + 1);
-  const core::MetisResult decision = core::run_metis(instance, rng);
-  RepairConfig repair;
-  repair.policy = policy;
-  AdoptedBook out{CommittedBook(instance.topology(), instance.config(),
-                                std::move(repair)),
-                  decision.best.profit, decision.best.accepted};
-  out.book.adopt(instance, decision.schedule);
-  return out;
-}
+static_assert(!std::is_copy_constructible_v<CommittedBook>);
+static_assert(!std::is_copy_assignable_v<CommittedBook>);
+static_assert(!std::is_move_constructible_v<CommittedBook>);
+static_assert(!std::is_move_assignable_v<CommittedBook>);
 
 // Finds an edge some accepted request's reserved path uses.
 int used_edge(const CommittedBook& book) {
@@ -164,7 +176,7 @@ int used_edge(const CommittedBook& book) {
 }
 
 TEST(CommittedBook, AdoptMatchesDecision) {
-  AdoptedBook adopted = make_adopted(16, RepairPolicy::Reroute);
+  AdoptedBook adopted(16, RepairPolicy::Reroute);
   EXPECT_EQ(adopted.book.accepted_count(), adopted.accepted);
   EXPECT_DOUBLE_EQ(adopted.book.evaluate().profit, adopted.profit);
   EXPECT_DOUBLE_EQ(adopted.book.net_profit(), adopted.profit);
@@ -177,7 +189,7 @@ TEST(CommittedBook, AdoptMatchesDecision) {
 }
 
 TEST(CommittedBook, LinkFailureDropPolicyRefundsVictims) {
-  AdoptedBook adopted = make_adopted(13, RepairPolicy::DropAffected);
+  AdoptedBook adopted(13, RepairPolicy::DropAffected);
   const int edge = used_edge(adopted.book);
   ASSERT_GE(edge, 0);
   FaultEvent event;
@@ -198,7 +210,7 @@ TEST(CommittedBook, LinkFailureDropPolicyRefundsVictims) {
 }
 
 TEST(CommittedBook, LinkFailureRerouteSavesOrRefunds) {
-  AdoptedBook adopted = make_adopted(13, RepairPolicy::Reroute);
+  AdoptedBook adopted(13, RepairPolicy::Reroute);
   const int edge = used_edge(adopted.book);
   ASSERT_GE(edge, 0);
   FaultEvent event;
@@ -224,7 +236,7 @@ TEST(CommittedBook, RerouteNeverBanksLessThanDrop) {
     double net[2] = {0, 0};
     for (const RepairPolicy policy :
          {RepairPolicy::DropAffected, RepairPolicy::Reroute}) {
-      AdoptedBook adopted = make_adopted(seed, policy);
+      AdoptedBook adopted(seed, policy);
       const auto events = generate_fault_events(
           faulty(0.5), adopted.book.topology(), 12, Rng(seed));
       Rng rng(seed * 7 + 5);
@@ -240,7 +252,7 @@ TEST(CommittedBook, RerouteNeverBanksLessThanDrop) {
 }
 
 TEST(CommittedBook, NodeOutageKillsIncidentReservations) {
-  AdoptedBook adopted = make_adopted(13, RepairPolicy::Reroute);
+  AdoptedBook adopted(13, RepairPolicy::Reroute);
   const auto paths = adopted.book.reserved_paths();
   const auto requests = adopted.book.requests();
   int node = -1;
@@ -269,7 +281,7 @@ TEST(CommittedBook, NodeOutageKillsIncidentReservations) {
 }
 
 TEST(CommittedBook, LinkDegradeShrinksPurchase) {
-  AdoptedBook adopted = make_adopted(17, RepairPolicy::Reroute);
+  AdoptedBook adopted(17, RepairPolicy::Reroute);
   const int edge = used_edge(adopted.book);
   ASSERT_GE(edge, 0);
   FaultEvent event;
@@ -285,7 +297,7 @@ TEST(CommittedBook, LinkDegradeShrinksPurchase) {
 }
 
 TEST(CommittedBook, PriceShockRaisesCost) {
-  AdoptedBook adopted = make_adopted(15, RepairPolicy::Reroute);
+  AdoptedBook adopted(15, RepairPolicy::Reroute);
   const int edge = used_edge(adopted.book);
   ASSERT_GE(edge, 0);
   const double cost_before = adopted.book.evaluate().cost;
