@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "lp/presolve.h"
 #include "lp/problem.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
@@ -230,13 +231,44 @@ TEST(Simplex, FixedVariableRespected) {
 }
 
 TEST(Simplex, DuplicateColumnEntriesMerged) {
-  // Row lists x twice: 1x + 2x <= 6 means 3x <= 6.
+  // Row 0 lists x twice: 1x + 2x <= 6 means 3x <= 6.  Row 1 lists x before
+  // and after y: 0.5x + y + 0.5x <= 5 means x + y <= 5.  Row 2's two x
+  // entries cancel exactly: y + 0.25x + z - 0.25x <= 4 means y + z <= 4.
   LinearProblem p(Sense::Maximize);
-  const int x = p.add_variable(0, kInfinity, 1);
+  const int x = p.add_variable(0, kInfinity, 2);
+  const int y = p.add_variable(0, kInfinity, 1);
+  const int z = p.add_variable(0, kInfinity, 3);
   p.add_row(RowType::LessEqual, 6, {{x, 1}, {x, 2}});
-  const LpSolution sol = solve(p);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sol.x[x], 2, kTol);
+  p.add_row(RowType::LessEqual, 5, {{x, 0.5}, {y, 1}, {x, 0.5}});
+  p.add_row(RowType::LessEqual, 4, {{y, 1}, {x, 0.25}, {z, 1}, {x, -0.25}});
+  SimplexOptions raw;
+  raw.presolve = false;
+  for (const LpSolution& sol : {solve(p), SimplexSolver(raw).solve(p)}) {
+    ASSERT_EQ(sol.status, SolveStatus::Optimal);
+    EXPECT_NEAR(sol.x[x], 2, kTol);
+    EXPECT_NEAR(sol.x[y], 0, kTol);
+    EXPECT_NEAR(sol.x[z], 4, kTol);
+    EXPECT_NEAR(sol.objective, 16, kTol);
+    check_kkt(p, sol);
+  }
+
+  // Presolve folds row 0 into x's bound.  Row 1 keeps the merged
+  // coefficient at x's first position; row 2 no longer holds x.
+  const PresolveResult pr = presolve(p);
+  EXPECT_EQ(pr.row_map[0], -1);
+  ASSERT_GE(pr.row_map[1], 0);
+  ASSERT_GE(pr.row_map[2], 0);
+  EXPECT_EQ(pr.reduced.upper_bound(pr.col_map[x]), 2);
+  const std::vector<RowEntry>& row1 = pr.reduced.row(pr.row_map[1]).entries;
+  ASSERT_EQ(row1.size(), 2u);
+  EXPECT_EQ(row1[0].col, pr.col_map[x]);
+  EXPECT_EQ(row1[0].coef, 1.0);
+  EXPECT_EQ(row1[1].col, pr.col_map[y]);
+  EXPECT_EQ(row1[1].coef, 1.0);
+  const std::vector<RowEntry>& row2 = pr.reduced.row(pr.row_map[2]).entries;
+  ASSERT_EQ(row2.size(), 2u);
+  EXPECT_EQ(row2[0].col, pr.col_map[y]);
+  EXPECT_EQ(row2[1].col, pr.col_map[z]);
 }
 
 TEST(Simplex, NegativeRhsEquality) {
