@@ -27,6 +27,7 @@
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "workload/generator.h"
 
 namespace metis::sim {
@@ -394,6 +395,112 @@ TEST(OnlineFaults, DecisionsInvariantAcrossRoundingThreads) {
   for (std::size_t i = 0; i < serial.fault_paths.size(); ++i) {
     EXPECT_EQ(serial.fault_paths[i].edges, threaded.fault_paths[i].edges);
   }
+}
+
+// ------------------------------------------- incremental LP work pins ----
+//
+// CRC-32 pins of the simplex work that run_metis_incremental does in fault
+// mode, where every decide and repair re-solves with commitments pinned and
+// carries LP state from one decide to the next: each decide's and each
+// repair's iterations, factorizations and warm/cold starts, the book's
+// total, and the final schedule, plan and net profit.  A change to what a
+// decide starts its solves from that moves one pivot, or turns one warm
+// start cold, fails here.
+
+void put_work(serialize::ByteWriter& out, const lp::SolveStats& s) {
+  out.i64(s.iterations);
+  out.i32(s.factorizations);
+  out.i32(s.warm_starts);
+  out.i32(s.cold_starts);
+}
+
+lp::SolveStats work_since(const lp::SolveStats& before,
+                          const lp::SolveStats& after) {
+  lp::SolveStats d;
+  d.iterations = after.iterations - before.iterations;
+  d.factorizations = after.factorizations - before.factorizations;
+  d.warm_starts = after.warm_starts - before.warm_starts;
+  d.cold_starts = after.cold_starts - before.cold_starts;
+  return d;
+}
+
+struct WorkPin {
+  int solves;              ///< decides (online) or repairs (adopted book)
+  long total_iterations;   ///< the book's lp_stats
+  std::uint32_t work;      ///< each solve's work, then the book's total
+  std::uint32_t decision;  ///< final schedule, plan and net profit
+};
+
+void expect_work_pin(const WorkPin& got, const WorkPin& want) {
+  EXPECT_EQ(got.solves, want.solves);
+  EXPECT_EQ(got.total_iterations, want.total_iterations);
+  EXPECT_EQ(got.work, want.work);
+  EXPECT_EQ(got.decision, want.decision);
+}
+
+/// B4, 48 expected arrivals, fault rate 0.5, batches of 6.  The repairs the
+/// replay runs between batches enter through the book's total.
+WorkPin online_work_pin(bool cross_batch_warm_start) {
+  OnlineConfig config = online_config(34, 0.5, RepairPolicy::Reroute);
+  config.base.num_requests = 48;
+  config.cross_batch_warm_start = cross_batch_warm_start;
+  const OnlineResult r = OnlineAdmissionSimulator(config).run();
+  EXPECT_GT(r.fault_stats.repairs, 0);
+  serialize::ByteWriter work;
+  for (const BatchRecord& b : r.batches) put_work(work, b.lp_stats);
+  put_work(work, r.lp_stats);
+  serialize::ByteWriter decision;
+  for (int j : r.schedule.path_choice) decision.i32(j);
+  for (int u : r.plan.units) decision.i32(u);
+  decision.f64(r.net_profit);
+  return {static_cast<int>(r.batches.size()), r.lp_stats.iterations,
+          serialize::crc32(work.bytes()), serialize::crc32(decision.bytes())};
+}
+
+TEST(IncrementalLpPins, OnlineFaultReplayWithCrossBatchWarmStart) {
+  expect_work_pin(online_work_pin(true), {7, 1546, 0x44ec818c, 0x04e465c6});
+}
+
+TEST(IncrementalLpPins, OnlineFaultReplayWithoutCrossBatchWarmStart) {
+  expect_work_pin(online_work_pin(false), {7, 1533, 0xa218468e, 0x04e465c6});
+}
+
+TEST(IncrementalLpPins, AdoptedDecisionRepairedThroughThreeFaults) {
+  // An offline run_metis decision, then three network faults on links the
+  // book uses; every repair re-decides the victims with the survivors
+  // pinned.
+  AdoptedBook adopted(19, RepairPolicy::Reroute);
+  CommittedBook& book = adopted.book;
+  serialize::ByteWriter work;
+  const auto repair = [&](FaultKind kind, double magnitude,
+                          std::uint64_t seed) {
+    FaultEvent event;
+    event.kind = kind;
+    event.target = used_edge(book);
+    event.magnitude = magnitude;
+    ASSERT_GE(event.target, 0);
+    const lp::SolveStats before = book.lp_stats();
+    Rng rng(seed);
+    ASSERT_TRUE(book.inject(event, rng));
+    put_work(work, work_since(before, book.lp_stats()));
+  };
+  repair(FaultKind::LinkFailure, 1.0, 3);
+  repair(FaultKind::LinkDegrade, 0.2, 4);
+  repair(FaultKind::LinkFailure, 1.0, 5);
+  EXPECT_EQ(book.stats().repairs, 3);
+  EXPECT_TRUE(book.validate().empty());
+  put_work(work, book.lp_stats());
+  serialize::ByteWriter decision;
+  for (const net::Path& p : book.reserved_paths()) {
+    decision.u64(p.edges.size());
+    for (net::EdgeId e : p.edges) decision.i32(e);
+  }
+  for (int u : book.plan().units) decision.i32(u);
+  decision.f64(book.net_profit());
+  expect_work_pin({book.stats().repairs, book.lp_stats().iterations,
+                   serialize::crc32(work.bytes()),
+                   serialize::crc32(decision.bytes())},
+                  {3, 1173, 0x66cbb8bb, 0x12afc865});
 }
 
 TEST(FaultDegenerateLp, ZeroCapacityEdgesSolveCleanlyOnBothRatioTests) {
