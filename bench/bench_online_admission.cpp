@@ -1,8 +1,9 @@
 // Extension — streaming admission (sim/online.h): profit and decide latency
 // as a function of batch size, from pure online admission (batch size 1) to
 // the paper's offline regime (one batch covering the whole stream), plus
-// warm-vs-cold simplex iteration counts measuring the cross-batch
-// basis-lifting payoff (lp/basis_lift.h).
+// warm-vs-cold simplex iteration counts measuring what the cross-batch
+// warm start saves: a batch's first BL-SPM solve starts from the slack
+// basis instead of cold through presolve (core::IncrementalState).
 //
 // Every row replays the same arrival stream twice — once with cross-batch
 // warm starts, once cold — so the two iteration columns are directly

@@ -3,7 +3,8 @@
 //   1. Draw a within-cycle arrival stream (timestamped requests).
 //   2. Queue arrivals into batches (count and/or deadline triggered).
 //   3. Re-decide each batch with incremental Metis: accepted requests stay
-//      accepted, and the LP warm-starts from the previous batch's basis.
+//      accepted, and once an earlier batch solved its BL-SPM to optimality
+//      the batch's first BL-SPM solve starts from the slack basis.
 //   4. Compare the committed decision against the offline oracle that saw
 //      the whole bid book at once.
 //

@@ -116,45 +116,12 @@ Schedule schedule_from_solution(const SpmInstance& instance, const SpmModel& mod
 ChargingPlan plan_from_solution(const SpmInstance& instance, const SpmModel& model,
                                 const std::vector<double>& x);
 
-/// Shape + optimal basis of one solved SPM relaxation, kept across batches
-/// by the online admission pipeline (core::IncrementalState).  Consecutive
-/// batch re-decides solve *differently shaped* problems — the new batch's
-/// x columns replace the previous batch's — but the c_e purchase columns
-/// and the (edge, slot) capacity rows persist, and their basis statuses
-/// encode which links sit at their load ceiling.  lift_into_model maps that
-/// persistent part onto the next batch's model (see lp/basis_lift.h).
-struct ModelSnapshot {
-  lp::Basis basis;                      ///< optimal basis of the snapshot solve
-  int num_variables = 0;                ///< columns of the snapshot problem
-  int num_rows = 0;                     ///< rows of the snapshot problem
-  std::vector<int> c_col;               ///< [edge] -> column (empty for BL-SPM)
-  std::vector<std::vector<int>> cap_row;  ///< [edge][slot] -> row or -1
-
-  bool empty() const { return basis.empty(); }
-  void clear() { basis.clear(); c_col.clear(); cap_row.clear(); }
-};
-
-/// Records `model`'s shape together with `basis` (the solve's optimal
-/// basis) into `out`.  An empty basis clears the snapshot — there is
-/// nothing to lift from a solve that produced no reusable basis.
-void snapshot_model(const SpmModel& model, const lp::Basis& basis,
-                    ModelSnapshot& out);
-
-/// Lifts `snap` onto `model`'s shape: c columns and capacity rows map by
-/// (edge) / (edge, slot) identity, everything else is new.  With
-/// `equality_assignments` (RL-SPM), each participating request's first
-/// path column is marked Basic so the lifted point can satisfy the
-/// sum_j x = 1 rows.  Returns an empty Basis (= cold start) when the
-/// snapshot is empty or unliftable.
-lp::Basis lift_into_model(const ModelSnapshot& snap, const SpmModel& model,
-                          bool equality_assignments);
-
 /// Pinning/warm-start context threaded through one MAA or TAA solve by the
 /// incremental Metis loop (online admission, see MetisOptions /
 /// IncrementalState in metis.h).  All pointers are non-owning; any may be
 /// null.  With `committed`/`committed_loads` null — or pointing at an
-/// all-declined schedule / all-zero matrix — the solve is byte-identical to
-/// the offline one.
+/// all-declined schedule / all-zero matrix — and `slack_start` off, the
+/// solve is byte-identical to the offline one.
 struct IncrementalContext {
   /// Full-size schedule of already-committed decisions (kDeclined for every
   /// request still free).  Committed requests are excluded from the LP and
@@ -162,11 +129,11 @@ struct IncrementalContext {
   const Schedule* committed = nullptr;
   /// Loads of the committed acceptances (compute_loads over *committed).
   const LoadMatrix* committed_loads = nullptr;
-  /// Snapshot of the previous batch's solve to lift a warm start from.
-  const ModelSnapshot* lift_from = nullptr;
-  /// When non-null, receives this solve's shape + optimal basis (the next
-  /// batch's lift_from).  May alias lift_from — it is read before written.
-  ModelSnapshot* snapshot_out = nullptr;
+  /// BL-SPM only: start a solve whose warm basis is empty from the slack
+  /// basis — every x at its lower bound, every row's slack basic — instead
+  /// of cold.  BL-SPM's rows are all <= with non-negative right-hand sides,
+  /// so that basis is feasible and the simplex always accepts it.
+  bool slack_start = false;
 };
 
 /// The inverse of schedule_from_solution: encodes a concrete decision as a

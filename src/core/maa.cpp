@@ -75,20 +75,11 @@ MaaResult run_maa(const SpmInstance& instance, const std::vector<bool>& accepted
   MaaResult result;
   const SpmModel model =
       build_rl_spm(instance, accepted, pinned, options.edge_capacity);
-  lp::Basis* warm = options.warm_basis;
-  if (warm != nullptr && warm->empty() && inc != nullptr &&
-      inc->lift_from != nullptr && !inc->lift_from->empty()) {
-    *warm = lift_into_model(*inc->lift_from, model, /*equality_assignments=*/true);
-    if (!warm->empty()) telemetry::count("maa.basis_lifts");
-  }
   const lp::SimplexSolver solver(options.lp);
-  const lp::LpSolution relaxed = solver.solve(model.problem, warm);
+  const lp::LpSolution relaxed =
+      solver.solve(model.problem, options.warm_basis);
   result.status = relaxed.status;
   result.lp_stats = relaxed.stats;
-  if (inc != nullptr && inc->snapshot_out != nullptr && relaxed.ok() &&
-      warm != nullptr) {
-    snapshot_model(model, *warm, *inc->snapshot_out);
-  }
   if (!relaxed.ok()) return result;
   result.lp_cost = relaxed.objective;
 

@@ -48,10 +48,8 @@ struct MaaOptions {
   /// Online admission (see IncrementalState in metis.h): when non-null,
   /// committed requests are pinned — excluded from the LP (their loads move
   /// to the capacity rows' RHS) and merged verbatim into the returned
-  /// schedule/plan — and, when `warm_basis` is empty, the relaxation lifts a
-  /// cross-batch warm start from `incremental->lift_from` and snapshots its
-  /// own optimal basis into `incremental->snapshot_out`.  Null (the
-  /// default): plain offline solve, bit-identical to the historical path.
+  /// schedule/plan.  Null (the default): plain offline solve,
+  /// bit-identical to the historical path.
   const IncrementalContext* incremental = nullptr;
   /// Fault repair: per-edge purchase ceiling on the relaxation's c_e
   /// columns (entry < 0 = uncapacitated; see build_rl_spm).  The rounded

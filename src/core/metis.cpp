@@ -277,7 +277,7 @@ int admit_profitable(const SpmInstance& instance, Schedule& schedule,
 namespace {
 
 /// Shared body of run_metis / run_metis_incremental.  `state == nullptr`
-/// (or an empty committed prefix with empty snapshots) is the offline loop:
+/// (or an empty committed prefix with `slack_start` off) is the offline loop:
 /// every pinned structure below is then empty / all-zero, and each use
 /// reduces bit for bit to the historical behaviour — which is what makes
 /// the single-batch online mode reproduce the offline decision exactly.
@@ -364,9 +364,9 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
   // order is a function of the accepted set alone), so each re-solve
   // warm-starts from the previous optimum; when acceptance shrinks the
   // shape changes and the solver silently falls back to a cold start.
-  // The incremental path additionally lifts the *previous batch's* basis
-  // into the first solve of each kind (IncrementalContext::lift_from) and
-  // snapshots the last optimal one for the next batch.
+  // The incremental path additionally starts the first BL-SPM solve of a
+  // decide from the slack basis when an earlier decide's last BL-SPM solve
+  // ended optimal with a basis (IncrementalState::slack_start).
   lp::Basis maa_basis, taa_basis;
   MaaOptions maa_options = options.maa;
   maa_options.edge_capacity = options.edge_capacity;
@@ -375,21 +375,14 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     maa_options.warm_basis = &maa_basis;
     taa_options.warm_basis = &taa_basis;
   }
-  IncrementalContext maa_inc, taa_inc;
+  IncrementalContext inc;
   if (state != nullptr) {
-    maa_inc.committed = &pin;
-    maa_inc.committed_loads = &pinned_loads;
-    taa_inc.committed = &pin;
-    taa_inc.committed_loads = &pinned_loads;
-    if (options.warm_start) {
-      maa_inc.lift_from = &state->maa;
-      maa_inc.snapshot_out = &state->maa;
-      taa_inc.lift_from = &state->taa;
-      taa_inc.snapshot_out = &state->taa;
-    }
-    maa_options.incremental = &maa_inc;
-    taa_options.incremental = &taa_inc;
+    inc.committed = &pin;
+    inc.committed_loads = &pinned_loads;
+    maa_options.incremental = &inc;
+    taa_options.incremental = &inc;
   }
+  const bool carry_slack_start = state != nullptr && options.warm_start;
 
   for (int loop = 0; loop < max_loops; ++loop) {
     MetisIteration iter;
@@ -430,6 +423,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     }
 
     // BL-SPM Solver: best revenue under the limited bandwidth.
+    if (carry_slack_start) inc.slack_start = state->slack_start;
     const TaaResult taa = run_taa(instance, limited, accepted, taa_options);
     result.taa_status = taa.status;
     result.lp_stats += taa.lp_stats;
@@ -440,6 +434,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
       ++result.iterations_run;
       break;
     }
+    if (carry_slack_start) state->slack_start = !taa_basis.empty();
     // Charge only what the TAA schedule actually needs (<= limited).
     const ChargingPlan taa_plan =
         charging_from_loads(compute_loads(instance, taa.schedule));

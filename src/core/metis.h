@@ -143,7 +143,7 @@ MetisResult run_metis(const SpmInstance& instance, Rng& rng,
                       const MetisOptions& options = {});
 
 /// Cross-batch carry-over of the online admission pipeline (sim/online.h).
-/// With `committed` empty and fresh snapshots, run_metis_incremental is
+/// With `committed` empty and `slack_start` off, run_metis_incremental is
 /// bit-identical to run_metis — the anchor the single-batch test pins.
 struct IncrementalState {
   /// Hard commitments: final decisions for the first `committed.size()`
@@ -152,18 +152,18 @@ struct IncrementalState {
   /// keep their path (their loads move into the LP right-hand sides and
   /// floor the BW limiter), declined ones stay declined.
   std::vector<int> committed;
-  /// Shape + optimal basis of the last RL-SPM / BL-SPM solve, lifted onto
-  /// the next batch's models for a cross-batch warm start (lp/basis_lift.h).
-  /// Updated in place by every optimal inner solve; start empty.
-  ModelSnapshot maa;
-  ModelSnapshot taa;
+  /// The last BL-SPM solve of an earlier decide ended optimal with a
+  /// basis: the next decide starts its first BL-SPM solve from the slack
+  /// basis (IncrementalContext::slack_start).  Set after every optimal
+  /// BL-SPM solve when warm starts are on; starts off.
+  bool slack_start = false;
 };
 
 /// Metis over `instance` treating the leading `state.committed.size()`
 /// requests as already decided.  The returned schedule/plan/profit cover
 /// the *whole* instance (commitments included); the caller appends the new
 /// decisions to `state.committed` before the next batch.  `state` is only
-/// mutated through its snapshots.
+/// mutated through `slack_start`.
 MetisResult run_metis_incremental(const SpmInstance& instance,
                                   IncrementalState& state, Rng& rng,
                                   const MetisOptions& options = {});

@@ -68,20 +68,16 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
   const SpmModel model =
       build_bl_spm(instance, capacities, accepted, bl_options, pinned);
   lp::Basis* warm = options.warm_basis;
-  if (warm != nullptr && warm->empty() && inc != nullptr &&
-      inc->lift_from != nullptr && !inc->lift_from->empty()) {
-    *warm =
-        lift_into_model(*inc->lift_from, model, /*equality_assignments=*/false);
+  if (warm != nullptr && warm->empty() && inc != nullptr && inc->slack_start) {
+    const int n = model.problem.num_variables();
+    warm->status.assign(n, lp::BasisStatus::AtLower);
+    warm->status.resize(n + model.problem.num_rows(), lp::BasisStatus::Basic);
     if (!warm->empty()) telemetry::count("taa.basis_lifts");
   }
   const lp::SimplexSolver solver(options.lp);
   const lp::LpSolution relaxed = solver.solve(model.problem, warm);
   result.status = relaxed.status;
   result.lp_stats = relaxed.stats;
-  if (inc != nullptr && inc->snapshot_out != nullptr && relaxed.ok() &&
-      warm != nullptr) {
-    snapshot_model(model, *warm, *inc->snapshot_out);
-  }
   if (!relaxed.ok()) return result;
   result.lp_revenue = relaxed.objective;
 

@@ -50,9 +50,8 @@ struct TaaOptions {
   /// committed requests are pinned — excluded from the LP (their loads are
   /// subtracted from the capacity rows' RHS), pre-loaded into the walk's
   /// feasibility guard, and merged verbatim into the returned schedule —
-  /// and, when `warm_basis` is empty, the relaxation lifts a cross-batch
-  /// warm start from `incremental->lift_from` and snapshots its own optimal
-  /// basis into `incremental->snapshot_out`.  Null: plain offline solve.
+  /// and, with `incremental->slack_start` set and `warm_basis` empty, the
+  /// relaxation starts from the slack basis.  Null: plain offline solve.
   const IncrementalContext* incremental = nullptr;
 };
 

@@ -39,8 +39,8 @@ struct Row {
 
 /// The solver-agnostic column/row model (see the file comment for the
 /// canonical form).  Columns are appended by add_variable, rows by add_row;
-/// both are stable indices that SimplexSolver/MipSolver solutions, Basis
-/// snapshots and ModelSnapshot mappings refer to.
+/// both are stable indices that SimplexSolver/MipSolver solutions and Basis
+/// snapshots refer to.
 class LinearProblem {
  public:
   explicit LinearProblem(Sense sense = Sense::Minimize) : sense_(sense) {}

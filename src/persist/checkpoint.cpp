@@ -32,12 +32,6 @@ void fields(auto& io, Is<workload::Request> auto& q) {
 
 void fields(auto& io, Is<net::Path> auto& p) { io(p.edges); }
 
-void fields(auto& io, Is<lp::Basis> auto& b) { io(b.status); }
-
-void fields(auto& io, Is<core::ModelSnapshot> auto& m) {
-  io(m.basis, m.num_variables, m.num_rows, m.c_col, m.cap_row);
-}
-
 void fields(auto& io, Is<lp::SolveStats> auto& s) {
   io(s.iterations, s.factorizations, s.presolve_removed_rows,
      s.presolve_removed_cols, s.warm_starts, s.cold_starts, s.pricing_passes,
@@ -108,7 +102,7 @@ void sections(auto& io, Is<OnlineCheckpoint> auto& c) {
              c.repair_index, c.surge_index, c.oldest_queued, c.total_arrivals,
              c.total_accepted);
   io.section(kSectionBatches, c.batches);
-  io.section(kSectionIncremental, c.inc.maa, c.inc.taa);
+  io.section(kSectionIncremental, c.slack_start);
   io.section(kSectionEntries, c.entries);
   io.section(kSectionTopology, c.topology);
   io.section(kSectionFaults, c.refunds, c.fault_stats, c.book_lp_stats);
@@ -148,7 +142,6 @@ class Encoder {
   void put(std::uint8_t v) { w_.u8(v); }
   void put(bool v) { w_.boolean(v); }
   void put(const std::string& v) { w_.str(v); }
-  void put(lp::BasisStatus v) { w_.u8(static_cast<std::uint8_t>(v)); }
   void put(CheckpointKind v) { w_.u8(static_cast<std::uint8_t>(v)); }
   template <typename T>
   void put(const std::vector<T>& v) {
@@ -204,9 +197,6 @@ class Decoder {
   void get(std::uint8_t& v) { v = r_.u8(); }
   void get(bool& v) { v = r_.boolean(); }
   void get(std::string& v) { v = r_.str(); }
-  void get(lp::BasisStatus& v) {
-    enum_byte(v, lp::BasisStatus::Free, "basis status");
-  }
   void get(CheckpointKind&) { r_.u8(); }  // checked by require_kind
   template <typename T>
   void get(std::vector<T>& v) {

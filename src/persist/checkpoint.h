@@ -6,8 +6,8 @@
 // (CommittedBook entries, BatchRecord lists) is mirrored here as plain
 // structs; sim/online.cpp and sim/simulator.cpp convert through them.
 // Types that already live at or below core — workload::Request,
-// core::IncrementalState's ModelSnapshots, lp::SolveStats,
-// net::PathCache::Dump, telemetry::MetricsSnapshot — are saved as they are.
+// lp::SolveStats, net::PathCache::Dump, telemetry::MetricsSnapshot — are
+// saved as they are.
 //
 // The codec (checkpoint.cpp) writes each record's wire layout once: one
 // field list per record and one section list per checkpoint kind, read by
@@ -22,8 +22,8 @@
 //    just counters: the batch index, the fault-repair index, the surge
 //    index, and the arrival/fault-event cursors into their deterministic
 //    streams;
-//  * the LP warm-start state (core::IncrementalState's ModelSnapshots,
-//    basis included) is saved, so even simplex iteration counts continue
+//  * the LP warm-start state carried between decides (the book's
+//    slack-start flag) is saved, so even simplex iteration counts continue
 //    exactly;
 //  * the mutated Topology is restored through the epoch-preserving
 //    restore_* setters and the PathCache image is reloaded against the
@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "core/accounting.h"
-#include "core/metis.h"
+#include "lp/types.h"
 #include "net/paths.h"
 #include "persist/snapshot.h"
 #include "util/telemetry.h"
@@ -49,7 +49,7 @@ namespace metis::persist {
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,         ///< kind, fingerprint, replay cursors
   kSectionBatches = 2,      ///< per-batch records (online)
-  kSectionIncremental = 4,  ///< LP warm-start snapshots
+  kSectionIncremental = 4,  ///< LP warm-start state (the slack-start flag)
   kSectionEntries = 6,      ///< CommittedBook entries (online)
   kSectionTopology = 7,     ///< mutated topology state + epoch
   kSectionFaults = 8,       ///< refund ledger + fault stats + book lp stats
@@ -130,9 +130,9 @@ struct OnlineCheckpoint {
   std::vector<BatchState> batches;
 
   // --- the committed book -----------------------------------------------
-  /// LP warm-start bases (maa, taa).  `committed` is not saved: the book
-  /// rebuilds it from the entries before every solve.
-  core::IncrementalState inc;
+  /// core::IncrementalState::slack_start.  The state's `committed` is not
+  /// saved: the book rebuilds it from the entries before every solve.
+  bool slack_start = false;
   std::vector<BookEntryState> entries;
   TopologyState topology;
   core::RefundLedger refunds;

@@ -35,7 +35,7 @@ namespace metis::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'E', 'T', 'I',
                                            'S', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Any malformed container: bad magic, unsupported version, CRC mismatch,
 /// truncation, out-of-order or duplicate sections, trailing bytes.

@@ -406,10 +406,7 @@ core::MetisResult CommittedBook::decide_pending(Rng& rng) {
   return std::move(attempt.result);
 }
 
-void CommittedBook::drop_warm_starts() {
-  state_.maa.clear();
-  state_.taa.clear();
-}
+void CommittedBook::drop_warm_starts() { state_.slack_start = false; }
 
 bool CommittedBook::inject(const FaultEvent& event, Rng& rng) {
   METIS_SPAN("fault.inject");
@@ -662,8 +659,7 @@ void CommittedBook::export_state(persist::OnlineCheckpoint& ckpt) const {
     t.node_enabled.push_back(topo_.node_enabled(node) ? 1 : 0);
   }
   t.epoch = topo_.epoch();
-  ckpt.inc.maa = state_.maa;
-  ckpt.inc.taa = state_.taa;
+  ckpt.slack_start = state_.slack_start;
   ckpt.refunds = refunds_;
   ckpt.fault_stats = {stats_.injected,  stats_.network_changes,
                       stats_.repairs,   stats_.victims,
@@ -730,8 +726,7 @@ void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
     entries_.push_back(Entry{image.request, static_cast<Status>(image.status),
                              image.path, image.was_committed});
   }
-  state_.maa = ckpt.inc.maa;
-  state_.taa = ckpt.inc.taa;
+  state_.slack_start = ckpt.slack_start;
   refunds_ = ckpt.refunds;
   stats_ = FaultStats{ckpt.fault_stats.injected,
                       ckpt.fault_stats.network_changes,

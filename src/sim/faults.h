@@ -196,9 +196,10 @@ class CommittedBook {
   /// LP's caps).  Newly accepted decisions become commitments.
   core::MetisResult decide_pending(Rng& rng);
 
-  /// Forgets the LP bases carried from one decide to the next, so the next
-  /// decide cold-starts its first solves (the online replay calls this
-  /// before each batch when cross-batch warm starts are off).
+  /// Forgets the LP state carried from one decide to the next, so the next
+  /// decide cold-starts its first BL-SPM solve instead of starting it from
+  /// the slack basis (the online replay calls this before each batch when
+  /// cross-batch warm starts are off).
   void drop_warm_starts();
 
   /// Replays one fault event: mutates the topology, marks victims
@@ -239,7 +240,7 @@ class CommittedBook {
 
   // --- checkpoint/restore (src/persist/) -------------------------------
   /// Copies the book's full mutable state — entries, mutated topology,
-  /// refund ledger, fault/LP counters, warm-start snapshots, path cache —
+  /// refund ledger, fault/LP counters, the slack-start flag, path cache —
   /// into the checkpoint.
   void export_state(persist::OnlineCheckpoint& ckpt) const;
   /// Rehydrates the book from a checkpoint taken by export_state against
@@ -285,7 +286,7 @@ class CommittedBook {
   RepairConfig repair_;
   net::PathCache cache_;
   std::vector<Entry> entries_;
-  /// LP basis snapshots carried across decides; `committed` is rebuilt
+  /// The slack-start flag carried across decides; `committed` is rebuilt
   /// from the entries before every solve.
   core::IncrementalState state_;
   core::RefundLedger refunds_;

@@ -11,8 +11,9 @@
 //   3. decides each batch through a CommittedBook (sim/faults.h): one
 //      core::run_metis_incremental re-decide with every accepted request
 //      pinned on its reserved path, under the network's per-edge capacity
-//      caps, warm-started from the previous batch's optimal LP bases
-//      (lp/basis_lift.h) and sharing one net::PathCache,
+//      caps, its first BL-SPM solve started from the slack basis once an
+//      earlier decide solved one (core::IncrementalState) and sharing one
+//      net::PathCache,
 //   4. interleaves the seeded fault stream, if any, with the arrivals: the
 //      book repairs the commitments a fault hits.  At fault rate 0 the
 //      stream is empty and the same loop sees arrivals only.
@@ -51,11 +52,11 @@ struct OnlineConfig {
   double max_batch_delay = 0;
   /// Options for every incremental Metis re-decide.
   core::MetisOptions metis;
-  /// Lift the previous batch's optimal LP bases into the next batch's
-  /// first RL-SPM/BL-SPM solves (lp/basis_lift.h).  Off = every batch
-  /// cold-starts its first solves — the ablation the bench reports as
-  /// warm-vs-cold simplex iterations.  Decisions are identical either way;
-  /// only the iteration counts move.
+  /// Start each batch's first BL-SPM solve from the slack basis once an
+  /// earlier decide solved one to optimality (core::IncrementalState).
+  /// Off = every batch cold-starts its first solves — the ablation the
+  /// bench reports as warm-vs-cold simplex iterations.  Decisions are
+  /// identical either way; only the iteration counts move.
   bool cross_batch_warm_start = true;
   /// Fault injection (sim/faults.h).  faults.rate == 0 — the default —
   /// injects nothing.  With a positive rate the replay interleaves the

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/accounting.h"
 #include "core/lp_builder.h"
-#include "lp/basis_lift.h"
 #include "lp/simplex.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -252,131 +252,55 @@ TEST(Degeneracy, SingularAfterMutationBasisFallsBackToCold) {
   EXPECT_LE(rel_diff(warm.objective, cold.objective), kTol);
 }
 
-// ---------------------------------------------------------- basis lift ----
-// Cross-shape reuse (lp/basis_lift.h): mapping the persistent part of an
-// old basis onto a differently-shaped problem.  Correctness never depends
-// on the lift — a rejected or empty lift is just a cold start — so these
-// tests pin the mapping/repair mechanics and the end-to-end payoff.
+// ------------------------------------------------------ slack start ----
+// The incremental Metis loop starts a decide's first BL-SPM solve from the
+// slack basis (core::IncrementalContext::slack_start).  BL-SPM's rows are
+// all <= with non-negative right-hand sides, pinned loads or not, so the
+// simplex must accept that basis, and from there it walks the same pivots
+// as a cold solve without presolve, which starts from the same basis.
 
-TEST(BasisLift, EmptyOrIncompatibleOldBasisYieldsEmpty) {
-  const std::vector<int> cols = {0, -1};
-  const std::vector<int> rows = {0};
-  EXPECT_TRUE(lift_basis(Basis{}, 2, 1, cols, rows).empty());
-  Basis wrong_shape;
-  wrong_shape.status.assign(2, BasisStatus::Basic);  // claims 2 != 2+1 slots
-  EXPECT_TRUE(lift_basis(wrong_shape, 2, 1, cols, rows).empty());
-}
+TEST(WarmStart, BlSpmSlackStartMatchesUnpresolvedColdSolve) {
+  SimplexOptions no_presolve;
+  no_presolve.presolve = false;
+  for (const std::uint64_t seed : {9, 10, 11}) {
+    const core::SpmInstance instance = small_instance(seed, 30);
+    core::ChargingPlan caps;
+    caps.units.assign(instance.num_edges(), 2);
+    // The online shape: the first 10 requests committed on their first
+    // candidate path, their loads moved to the capacity rows' rhs.
+    core::Schedule prefix =
+        core::Schedule::all_declined(instance.num_requests());
+    std::vector<bool> free(instance.num_requests(), true);
+    for (int i = 0; i < 10; ++i) {
+      prefix.path_choice[i] = 0;
+      free[i] = false;
+    }
+    const core::LoadMatrix pinned = core::compute_loads(instance, prefix);
+    for (const bool with_pins : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (with_pins ? ", pinned prefix" : ", nothing pinned"));
+      const core::SpmModel model =
+          with_pins ? core::build_bl_spm(instance, caps, free, {}, &pinned)
+                    : core::build_bl_spm(instance, caps);
+      const int n = model.problem.num_variables();
+      Basis slack;
+      slack.status.assign(n, BasisStatus::AtLower);
+      slack.status.resize(n + model.problem.num_rows(), BasisStatus::Basic);
 
-TEST(BasisLift, MapsStatusesAndDefaultsNewEntities) {
-  // Old: 3 columns + 2 rows.  New: 4 columns (old0, old2, two new) and
-  // 3 rows (old1, two new).
-  Basis old_basis;
-  old_basis.status = {BasisStatus::Basic,  BasisStatus::AtLower,
-                      BasisStatus::AtUpper, BasisStatus::Basic,
-                      BasisStatus::AtLower};
-  const std::vector<int> col_of_new = {0, 2, -1, -1};
-  const std::vector<int> row_of_new = {1, -1, -1};
-  const Basis lifted = lift_basis(old_basis, 3, 2, col_of_new, row_of_new);
-  ASSERT_TRUE(lifted.compatible(4, 3));
-  EXPECT_EQ(lifted.status[0], BasisStatus::Basic);    // mapped old col 0
-  EXPECT_EQ(lifted.status[1], BasisStatus::AtUpper);  // mapped old col 2
-  EXPECT_EQ(lifted.status[2], BasisStatus::AtLower);  // new column default
-  EXPECT_EQ(lifted.status[3], BasisStatus::AtLower);
-  EXPECT_EQ(lifted.status[4], BasisStatus::AtLower);  // mapped old row 1 slack
-  EXPECT_EQ(lifted.status[5], BasisStatus::Basic);    // new row slack default
-  EXPECT_EQ(lifted.status[6], BasisStatus::Basic);
-  // 1 basic column + 2 basic slacks == 3 rows: already count-consistent.
-}
-
-TEST(BasisLift, CountRepairDemotesNewRowSlacksFirst) {
-  // Everything Basic in the old basis produces a surplus after the lift;
-  // the repair must park row slacks (new rows first), never structurals.
-  Basis old_basis;
-  old_basis.status.assign(4, BasisStatus::Basic);  // 2 cols + 2 rows
-  const std::vector<int> col_of_new = {0, 1};
-  const std::vector<int> row_of_new = {0, 1, -1};
-  const Basis lifted = lift_basis(old_basis, 2, 2, col_of_new, row_of_new);
-  ASSERT_TRUE(lifted.compatible(2, 3));
-  EXPECT_EQ(lifted.status[0], BasisStatus::Basic);  // structurals untouched
-  EXPECT_EQ(lifted.status[1], BasisStatus::Basic);
-  EXPECT_EQ(lifted.status[2 + 1], BasisStatus::Basic);  // mapped row 1 kept
-  EXPECT_EQ(lifted.status[2 + 2], BasisStatus::AtLower);  // new row demoted 1st
-  EXPECT_EQ(lifted.status[2 + 0], BasisStatus::AtLower);  // then mapped row 0
-}
-
-TEST(BasisLift, BasicNewColumnsHonoredAndBoundsChecked) {
-  Basis old_basis;
-  old_basis.status = {BasisStatus::AtLower, BasisStatus::Basic};  // 1 col, 1 row
-  const std::vector<int> col_of_new = {-1, 0};
-  const std::vector<int> row_of_new = {0};
-  const std::vector<int> mark_basic = {0};
-  const Basis lifted =
-      lift_basis(old_basis, 1, 1, col_of_new, row_of_new, mark_basic);
-  ASSERT_TRUE(lifted.compatible(2, 1));
-  EXPECT_EQ(lifted.status[0], BasisStatus::Basic);  // forced by the caller
-  // Count repair parks the mapped-Basic row slack to end at exactly 1 basic.
-  EXPECT_EQ(lifted.status[2], BasisStatus::AtLower);
-
-  const std::vector<int> bad_col = {5, -1};
-  EXPECT_THROW(lift_basis(old_basis, 1, 1, bad_col, row_of_new),
-               std::invalid_argument);
-  const std::vector<int> bad_mark = {7};
-  EXPECT_THROW(
-      lift_basis(old_basis, 1, 1, col_of_new, row_of_new, bad_mark),
-      std::invalid_argument);
-}
-
-TEST(BasisLift, GrownRlSpmLiftMatchesColdObjective) {
-  // The online pipeline's actual shape change: the same request book plus
-  // ten new arrivals (generate() draws sequentially, so the smaller book
-  // is a prefix of the larger).  Lifting the old optimum must never change
-  // the optimum found; acceptance of the lift is the solver's call.
-  const core::SpmInstance small = small_instance(8, 20);
-  const core::SpmInstance grown = small_instance(8, 30);
-  SimplexSolver solver;
-
-  const core::SpmModel small_model = core::build_rl_spm(small);
-  Basis basis;
-  ASSERT_TRUE(solver.solve(small_model.problem, &basis).ok());
-  core::ModelSnapshot snapshot;
-  core::snapshot_model(small_model, basis, snapshot);
-  ASSERT_FALSE(snapshot.empty());
-
-  const core::SpmModel grown_model = core::build_rl_spm(grown);
-  Basis lifted =
-      core::lift_into_model(snapshot, grown_model, /*equality_assignments=*/true);
-  ASSERT_FALSE(lifted.empty());
-  ASSERT_TRUE(lifted.compatible(grown_model.problem.num_variables(),
-                                grown_model.problem.num_rows()));
-  const LpSolution warm = solver.solve(grown_model.problem, &lifted);
-  const LpSolution cold = solver.solve(grown_model.problem);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_TRUE(cold.ok());
-  EXPECT_LE(rel_diff(warm.objective, cold.objective), kTol);
-}
-
-TEST(BasisLift, GrownBlSpmLiftMatchesColdObjective) {
-  const core::SpmInstance small = small_instance(9, 20);
-  const core::SpmInstance grown = small_instance(9, 30);
-  core::ChargingPlan caps;
-  caps.units.assign(small.num_edges(), 4);
-  SimplexSolver solver;
-
-  const core::SpmModel small_model = core::build_bl_spm(small, caps);
-  Basis basis;
-  ASSERT_TRUE(solver.solve(small_model.problem, &basis).ok());
-  core::ModelSnapshot snapshot;
-  core::snapshot_model(small_model, basis, snapshot);
-
-  const core::SpmModel grown_model = core::build_bl_spm(grown, caps);
-  Basis lifted = core::lift_into_model(snapshot, grown_model,
-                                       /*equality_assignments=*/false);
-  ASSERT_FALSE(lifted.empty());
-  const LpSolution warm = solver.solve(grown_model.problem, &lifted);
-  const LpSolution cold = solver.solve(grown_model.problem);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_TRUE(cold.ok());
-  EXPECT_LE(rel_diff(warm.objective, cold.objective), kTol);
+      const LpSolution warm = SimplexSolver().solve(model.problem, &slack);
+      const LpSolution cold = SimplexSolver(no_presolve).solve(model.problem);
+      ASSERT_TRUE(warm.ok());
+      ASSERT_TRUE(cold.ok());
+      EXPECT_EQ(warm.stats.warm_starts, 1);
+      EXPECT_EQ(cold.stats.cold_starts, 1);
+      EXPECT_GT(warm.stats.iterations, 0);
+      EXPECT_EQ(warm.stats.iterations, cold.stats.iterations);
+      EXPECT_EQ(warm.stats.factorizations, cold.stats.factorizations);
+      EXPECT_EQ(warm.objective, cold.objective);
+      EXPECT_EQ(warm.x, cold.x);
+      EXPECT_EQ(warm.duals, cold.duals);
+    }
+  }
 }
 
 TEST(WarmStart, DegenerateTiedRatiosStayPrimalFeasible) {
