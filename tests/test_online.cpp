@@ -141,7 +141,7 @@ TEST(OnlineAdmission, EmptyCommitmentsReduceToPlainMetis) {
   const core::SpmInstance instance = make_instance(small_config(5, 1).base);
   Rng rng_a(42);
   const core::MetisResult plain = core::run_metis(instance, rng_a);
-  core::IncrementalState state;  // empty committed, fresh snapshots
+  core::IncrementalState state;  // empty committed, slack_start off
   Rng rng_b(42);
   const core::MetisResult incremental =
       core::run_metis_incremental(instance, state, rng_b);
