@@ -5,13 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/accounting.h"
 #include "core/maa.h"
 #include "core/metis.h"
+#include "sim/online.h"
 #include "sim/scenario.h"
 #include "sim/validate.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace metis::core {
 namespace {
@@ -521,6 +525,72 @@ TEST(Metis, MoreThetaNeverHurtsMuch) {
   const MetisResult r_short = run_metis(instance, rng_short, short_opts);
   const MetisResult r_long = run_metis(instance, rng_long, long_opts);
   EXPECT_GE(r_long.best.profit, r_short.best.profit - 1e-9);
+}
+
+// ------------------------------------------------ same-set round pins ----
+//
+// ROADMAP item 2's stalling instance: the first 32 arrivals of the seed-1
+// B4 stream (48 expected arrivals).  TAA keeps all 32 requests accepted in
+// every one of the 16 rounds, so every round's MAA pass relaxes the same
+// accepted set.  The pins are CRC-32s of the schedule, plan and profit;
+// a change to how those rounds reach their relaxation must not move them.
+
+SpmInstance stalling_prefix(int arrivals) {
+  sim::OnlineConfig config;
+  config.base.network = sim::Network::B4;
+  config.base.num_requests = 48;
+  config.base.seed = 1;
+  std::vector<workload::Request> book;
+  for (const workload::Arrival& a :
+       sim::OnlineAdmissionSimulator(config).arrivals()) {
+    if (static_cast<int>(book.size()) == arrivals) break;
+    book.push_back(a.request);
+  }
+  return SpmInstance(sim::make_network(config.base), std::move(book),
+                     config.base.instance);
+}
+
+std::uint32_t decision_crc(const MetisResult& result) {
+  serialize::ByteWriter out;
+  for (int j : result.schedule.path_choice) out.i32(j);
+  for (int u : result.plan.units) out.i32(u);
+  out.f64(result.best.profit);
+  return serialize::crc32(out.bytes());
+}
+
+TEST(SameSetRounds, StallingInstanceDecisionIsPinned) {
+  const SpmInstance instance = stalling_prefix(32);
+  ASSERT_EQ(instance.num_requests(), 32);
+  Rng rng = Rng(1).split(0);
+  const MetisResult result = run_metis(instance, rng);
+  ASSERT_EQ(result.iterations_run, 16);
+  for (const MetisIteration& iter : result.history) {
+    EXPECT_EQ(iter.accepted_after_taa, 32);
+  }
+  EXPECT_EQ(decision_crc(result), 0xaef0fee5u);
+}
+
+TEST(SameSetRounds, IncrementalDecideOnStallingInstanceIsPinned) {
+  // A batch-16 replay's second decide: the first 16 arrivals committed as
+  // Metis decided them alone, the next 16 re-decided around them.
+  const SpmInstance first = stalling_prefix(16);
+  Rng first_rng = Rng(1).split(0);
+  const MetisResult committed = run_metis(first, first_rng);
+  IncrementalState state;
+  state.committed = committed.schedule.path_choice;
+  state.slack_start = true;
+  const SpmInstance instance = stalling_prefix(32);
+  Rng rng = Rng(1).split(1);
+  const MetisResult result = run_metis_incremental(instance, state, rng);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(result.schedule.path_choice[i], state.committed[i]);
+  }
+  // All 16 rounds keep the same 27 accepted (commitments included).
+  ASSERT_EQ(result.iterations_run, 16);
+  for (const MetisIteration& iter : result.history) {
+    EXPECT_EQ(iter.accepted_after_taa, 27);
+  }
+  EXPECT_EQ(decision_crc(result), 0x2a730f62u);
 }
 
 }  // namespace
