@@ -24,8 +24,8 @@
 // path-major, then c columns per edge; assignment rows before capacity
 // rows per (edge, slot).  Two builds over the same accepted set therefore
 // produce identically-shaped LinearProblems, which is what lets a
-// lp::Basis snapshot from one solve warm-start the next (Metis carries one
-// across alternation iterations; see MaaOptions/TaaOptions::warm_basis).
+// lp::Basis snapshot from one solve warm-start the next (Metis carries a
+// BL-SPM one across alternation iterations; see TaaOptions::warm_basis).
 // Changing the accepted set changes the shape, and the solver falls back
 // to a cold start on its own — never rely on column indices surviving an
 // acceptance change.

@@ -1,6 +1,7 @@
 #include "core/maa.h"
 
-#include <cmath>
+#include <cstddef>
+#include <span>
 #include <stdexcept>
 
 #include "core/lp_builder.h"
@@ -12,39 +13,43 @@ namespace metis::core {
 
 namespace {
 
+/// x̂ of request i: its slice of the relaxation's flat vector, which lists
+/// the accepted requests in index order.
+std::span<const double> paths_of(const SpmInstance& instance, int i,
+                                 const std::vector<double>& x_hat,
+                                 std::size_t& offset) {
+  const std::size_t n = instance.num_paths(i);
+  const std::span<const double> slice(x_hat.data() + offset, n);
+  offset += n;
+  return slice;
+}
+
 /// Stage 2: one randomized rounding of the fractional solution.  `base`
 /// carries the pinned (committed) choices; rounding only writes the
 /// participating requests, so commitments pass through verbatim.
-Schedule round_once(const SpmInstance& instance, const SpmModel& model,
-                    const std::vector<double>& x_hat,
-                    const std::vector<bool>& accepted, const Schedule& base,
-                    Rng& rng) {
+Schedule round_once(const SpmInstance& instance, const MaaRelaxation& relaxation,
+                    const Schedule& base, Rng& rng) {
   Schedule schedule = base;
-  std::vector<double> weights;
+  std::size_t offset = 0;
   for (int i = 0; i < instance.num_requests(); ++i) {
-    if (!accepted[i]) continue;
-    weights.clear();
-    for (int j = 0; j < instance.num_paths(i); ++j) {
-      weights.push_back(x_hat.at(model.x_var[i][j]));
-    }
-    schedule.path_choice[i] =
-        static_cast<int>(rng.weighted_index(weights));
+    if (!relaxation.accepted[i]) continue;
+    schedule.path_choice[i] = static_cast<int>(
+        rng.weighted_index(paths_of(instance, i, relaxation.x_hat, offset)));
   }
   return schedule;
 }
 
 /// Ablation variant: argmax-probability path per request (no sampling).
-Schedule round_argmax(const SpmInstance& instance, const SpmModel& model,
-                      const std::vector<double>& x_hat,
-                      const std::vector<bool>& accepted, const Schedule& base) {
+Schedule round_argmax(const SpmInstance& instance,
+                      const MaaRelaxation& relaxation, const Schedule& base) {
   Schedule schedule = base;
+  std::size_t offset = 0;
   for (int i = 0; i < instance.num_requests(); ++i) {
-    if (!accepted[i]) continue;
+    if (!relaxation.accepted[i]) continue;
+    const std::span<const double> x = paths_of(instance, i, relaxation.x_hat, offset);
     int best = 0;
-    for (int j = 1; j < instance.num_paths(i); ++j) {
-      if (x_hat.at(model.x_var[i][j]) > x_hat.at(model.x_var[i][best])) {
-        best = j;
-      }
+    for (int j = 1; j < static_cast<int>(x.size()); ++j) {
+      if (x[j] > x[best]) best = j;
     }
     schedule.path_choice[i] = best;
   }
@@ -53,46 +58,64 @@ Schedule round_argmax(const SpmInstance& instance, const SpmModel& model,
 
 }  // namespace
 
-MaaResult run_maa(const SpmInstance& instance, const std::vector<bool>& accepted_in,
-                  Rng& rng, const MaaOptions& options) {
+MaaRelaxation relax_maa(const SpmInstance& instance,
+                        const std::vector<bool>& accepted,
+                        const MaaOptions& options, lp::SolveStats& stats) {
+  MaaRelaxation relaxation;
+  relaxation.accepted = accepted;
+  if (relaxation.accepted.empty()) {
+    relaxation.accepted.assign(instance.num_requests(), true);
+  }
+  const IncrementalContext* inc = options.incremental;
+  const LoadMatrix* pinned = inc != nullptr ? inc->committed_loads : nullptr;
+  const SpmModel model = build_rl_spm(instance, relaxation.accepted, pinned,
+                                      options.edge_capacity);
+  const lp::LpSolution relaxed =
+      lp::SimplexSolver(options.lp).solve(model.problem);
+  relaxation.status = relaxed.status;
+  stats += relaxed.stats;
+  if (!relaxed.ok()) return relaxation;
+  relaxation.objective = relaxed.objective;
+
+  // Fractional ĉ_e and alpha = min positive ĉ_e.
+  relaxation.fractional_c.assign(instance.num_edges(), 0.0);
+  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
+    relaxation.fractional_c[e] = relaxed.x.at(model.c_var[e]);
+  }
+  double alpha = 0;
+  for (double c : relaxation.fractional_c) {
+    if (c > num::kImproveTol && (alpha == 0 || c < alpha)) alpha = c;
+  }
+  relaxation.alpha = alpha;
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    if (!relaxation.accepted[i]) continue;
+    for (int column : model.x_var[i]) {
+      relaxation.x_hat.push_back(relaxed.x.at(column));
+    }
+  }
+  return relaxation;
+}
+
+MaaResult round_maa(const SpmInstance& instance,
+                    const MaaRelaxation& relaxation, Rng& rng,
+                    const MaaOptions& options) {
   if (options.rounding_trials < 1) {
     throw std::invalid_argument("MaaOptions: rounding_trials must be >= 1");
   }
-  METIS_SPAN("maa");
-  telemetry::count("maa.solves");
-  std::vector<bool> accepted = accepted_in;
-  if (accepted.empty()) accepted.assign(instance.num_requests(), true);
+  MaaResult result;
+  result.status = relaxation.status;
+  if (!relaxation.ok()) return result;
+  result.lp_cost = relaxation.objective;
+  result.fractional_c = relaxation.fractional_c;
+  result.alpha = relaxation.alpha;
 
-  // Online admission: pinned commitments (all-declined / all-zero when the
-  // context is absent, in which case every use below reduces to offline).
+  // Online admission: pinned commitments (all-declined when the context is
+  // absent, in which case rounding reduces to offline).
   const IncrementalContext* inc = options.incremental;
   const Schedule pin_base =
       inc != nullptr && inc->committed != nullptr
           ? *inc->committed
           : Schedule::all_declined(instance.num_requests());
-  const LoadMatrix* pinned = inc != nullptr ? inc->committed_loads : nullptr;
-
-  MaaResult result;
-  const SpmModel model =
-      build_rl_spm(instance, accepted, pinned, options.edge_capacity);
-  const lp::SimplexSolver solver(options.lp);
-  const lp::LpSolution relaxed =
-      solver.solve(model.problem, options.warm_basis);
-  result.status = relaxed.status;
-  result.lp_stats = relaxed.stats;
-  if (!relaxed.ok()) return result;
-  result.lp_cost = relaxed.objective;
-
-  // Fractional ĉ_e and alpha = min positive ĉ_e.
-  result.fractional_c.assign(instance.num_edges(), 0.0);
-  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
-    result.fractional_c[e] = relaxed.x.at(model.c_var[e]);
-  }
-  double alpha = 0;
-  for (double c : result.fractional_c) {
-    if (c > num::kImproveTol && (alpha == 0 || c < alpha)) alpha = c;
-  }
-  result.alpha = alpha;
 
   // Stages 2+3, keeping the cheapest of `rounding_trials` roundings.
   METIS_SPAN("rounding");
@@ -103,12 +126,12 @@ MaaResult run_maa(const SpmInstance& instance, const std::vector<bool>& accepted
     result.schedule = std::move(candidate);
   };
   if (options.deterministic) {
-    keep(round_argmax(instance, model, relaxed.x, accepted, pin_base));
+    keep(round_argmax(instance, relaxation, pin_base));
   } else if (options.rounding_trials == 1) {
     // The paper's Algorithm 1 verbatim: one rounding drawn directly from the
     // caller's generator (bit-identical to the historical serial behaviour,
     // which the multi-cycle simulator and Metis's default path rely on).
-    keep(round_once(instance, model, relaxed.x, accepted, pin_base, rng));
+    keep(round_once(instance, relaxation, pin_base, rng));
   } else {
     // Best-of-N: trial t draws from the index-addressed stream
     // base.split(t), so the set of candidates — and the winner — does not
@@ -126,8 +149,7 @@ MaaResult run_maa(const SpmInstance& instance, const std::vector<bool>& accepted
         [&](int trial) {
           Rng trial_rng = base.split(static_cast<std::uint64_t>(trial));
           Candidate c;
-          c.schedule =
-              round_once(instance, model, relaxed.x, accepted, pin_base, trial_rng);
+          c.schedule = round_once(instance, relaxation, pin_base, trial_rng);
           c.plan = charging_from_loads(compute_loads(instance, c.schedule));
           c.cost = cost(instance.topology(), c.plan);
           return c;
@@ -143,6 +165,17 @@ MaaResult run_maa(const SpmInstance& instance, const std::vector<bool>& accepted
     result.plan = std::move(candidates[best].plan);
     result.cost = candidates[best].cost;
   }
+  return result;
+}
+
+MaaResult run_maa(const SpmInstance& instance, const std::vector<bool>& accepted,
+                  Rng& rng, const MaaOptions& options) {
+  METIS_SPAN("maa");
+  telemetry::count("maa.solves");
+  lp::SolveStats stats;
+  const MaaRelaxation relaxation = relax_maa(instance, accepted, options, stats);
+  MaaResult result = round_maa(instance, relaxation, rng, options);
+  result.lp_stats = stats;
   return result;
 }
 

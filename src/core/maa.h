@@ -8,6 +8,10 @@
 //
 // `rounding_trials > 1` repeats stage 2 and keeps the cheapest rounding
 // (an ablation knob; the paper's algorithm is trials = 1).
+//
+// relax_maa is stage 1 and round_maa stages 2-3; run_maa runs both.  The
+// split lets Metis keep one relaxation across alternation rounds that hand
+// MAA the same accepted set (the LP depends on nothing else in a call).
 #pragma once
 
 #include <vector>
@@ -37,14 +41,9 @@ struct MaaOptions {
   /// caller's generator, byte-for-byte reproducing the historical serial
   /// behaviour.  See docs/ALGORITHMS.md §"Parallel execution".
   int threads = 0;
-  /// Simplex knobs for the relaxation solve.
+  /// Simplex knobs for the relaxation solve, which always starts cold:
+  /// no basis is carried into it (Metis reuses a whole relaxation instead).
   lp::SimplexOptions lp;
-  /// Optional basis-reuse slot: when non-null, the relaxation warm-starts
-  /// from *warm_basis and writes the optimal basis back (see Basis in
-  /// lp/types.h).  Metis's alternation loop points this at a basis it
-  /// carries across iterations; the LP column order is stable for a fixed
-  /// accepted set (see lp_builder.h), so re-solves start near-optimal.
-  lp::Basis* warm_basis = nullptr;
   /// Online admission (see IncrementalState in metis.h): when non-null,
   /// committed requests are pinned — excluded from the LP (their loads move
   /// to the capacity rows' RHS) and merged verbatim into the returned
@@ -79,6 +78,35 @@ struct MaaResult {
   /// (Infeasible vs IterationLimit vs numerical NotSolved).
   bool ok() const { return status == lp::SolveStatus::Optimal; }
 };
+
+/// Stage 1's outcome, kept compact so that Metis can hold the last one
+/// across rounds: the LP, its column map and its duals are dropped once
+/// x̂ has been read out.
+struct MaaRelaxation {
+  lp::SolveStatus status = lp::SolveStatus::NotSolved;
+  double objective = 0;              ///< LP optimum (MaaResult::lp_cost)
+  std::vector<double> fractional_c;  ///< ĉ_e per edge
+  double alpha = 0;                  ///< min positive ĉ_e
+  std::vector<bool> accepted;        ///< the set it was built for (full size)
+  /// x̂ of every accepted request in index order, one entry per candidate
+  /// path in path order.
+  std::vector<double> x_hat;
+
+  bool ok() const { return status == lp::SolveStatus::Optimal; }
+};
+
+/// Stage 1: builds RL-SPM over the requests with accepted[i] == true
+/// (empty = all) and solves it; the solve's work is added to `stats`.
+MaaRelaxation relax_maa(const SpmInstance& instance,
+                        const std::vector<bool>& accepted,
+                        const MaaOptions& options, lp::SolveStats& stats);
+
+/// Stages 2-3 over an optimal relaxation (for any other, only `status` is
+/// set).  `lp_stats` stays zero: the relaxation's work is counted where it
+/// was solved.
+MaaResult round_maa(const SpmInstance& instance,
+                    const MaaRelaxation& relaxation, Rng& rng,
+                    const MaaOptions& options);
 
 /// Runs MAA over the requests with accepted[i] == true (empty = all).
 /// Declined requests keep kDeclined in the returned schedule.

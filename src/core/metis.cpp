@@ -359,22 +359,25 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     return pb;
   };
 
-  // Basis snapshots carried across loops.  While the accepted set is
-  // stable the RL-SPM/BL-SPM LPs keep their shape (lp_builder's column
-  // order is a function of the accepted set alone), so each re-solve
-  // warm-starts from the previous optimum; when acceptance shrinks the
-  // shape changes and the solver silently falls back to a cold start.
-  // The incremental path additionally starts the first BL-SPM solve of a
-  // decide from the slack basis when an earlier decide's last BL-SPM solve
-  // ended optimal with a basis (IncrementalState::slack_start).
-  lp::Basis maa_basis, taa_basis;
+  // The last RL-SPM relaxation, kept with the accepted set it was built
+  // for.  That LP depends on nothing else here: the pinned loads and caps
+  // are fixed for the call, and the BW limiter's trim only changes BL-SPM's
+  // capacities.  A round that keeps the set therefore rounds from the kept
+  // relaxation instead of building and solving it again.
+  MaaRelaxation relaxation;
   MaaOptions maa_options = options.maa;
   maa_options.edge_capacity = options.edge_capacity;
+  // BL-SPM basis carried across loops.  While the accepted set is stable
+  // the LP keeps its shape (lp_builder's column order is a function of the
+  // accepted set alone), so each re-solve warm-starts from the previous
+  // optimum; when acceptance shrinks the shape changes and the solver
+  // silently falls back to a cold start.  The incremental path
+  // additionally starts the first BL-SPM solve of a decide from the slack
+  // basis when an earlier decide's last BL-SPM solve ended optimal with a
+  // basis (IncrementalState::slack_start).
+  lp::Basis taa_basis;
   TaaOptions taa_options = options.taa;
-  if (options.warm_start) {
-    maa_options.warm_basis = &maa_basis;
-    taa_options.warm_basis = &taa_basis;
-  }
+  if (options.warm_start) taa_options.warm_basis = &taa_basis;
   IncrementalContext inc;
   if (state != nullptr) {
     inc.committed = &pin;
@@ -388,9 +391,17 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     MetisIteration iter;
 
     // RL-SPM Solver: minimal-cost routing of the current accepted set.
-    const MaaResult maa = run_maa(instance, accepted, rng, maa_options);
+    const MaaResult maa = [&] {
+      METIS_SPAN("maa");
+      telemetry::count("maa.solves");
+      if (relaxation.ok() && relaxation.accepted == accepted) {
+        telemetry::count("maa.relaxations_reused");
+      } else {
+        relaxation = relax_maa(instance, accepted, maa_options, result.lp_stats);
+      }
+      return round_maa(instance, relaxation, rng, maa_options);
+    }();
     result.maa_status = maa.status;
-    result.lp_stats += maa.lp_stats;
     if (!maa.ok()) {
       METIS_LOG_WARN << "Metis: MAA failed with status "
                      << lp::to_string(maa.status);

@@ -58,11 +58,15 @@ struct MetisOptions {
   }();
   /// Inner TAA options (augmentation, fallback mu, LP knobs).
   TaaOptions taa;
-  /// Carry a simplex basis across alternation iterations: the RL-SPM and
-  /// BL-SPM re-solves warm-start from the previous loop's optimal basis
-  /// whenever the accepted set (and hence the LP shape) is unchanged, and
-  /// silently cold-start otherwise.  Off reproduces all-cold solves (the
-  /// ablation baseline measured by bench_lp_solver).
+  /// Carry a simplex basis across alternation iterations: each BL-SPM
+  /// re-solve warm-starts from the previous loop's optimal basis whenever
+  /// the accepted set (and hence the LP shape) is unchanged, and silently
+  /// cold-starts otherwise; the incremental loop also slack-starts its
+  /// first BL-SPM solve (IncrementalState::slack_start).  Off solves every
+  /// BL-SPM relaxation cold (the ablation baseline measured by
+  /// bench_lp_solver).  RL-SPM is not affected either way: every round
+  /// that keeps the accepted set reuses the relaxation solved for it, and
+  /// every new set is solved cold.
   bool warm_start = true;
   /// Fault repair (sim/faults.h): per-edge hard capacity (size num_edges;
   /// entry < 0 = uncapacitated).  Caps the RL-SPM purchase columns and

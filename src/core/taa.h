@@ -42,9 +42,10 @@ struct TaaOptions {
   double cost_weight = 0;
   /// Simplex knobs for the relaxation solve.
   lp::SimplexOptions lp;
-  /// Optional basis-reuse slot for the BL-SPM relaxation (see
-  /// MaaOptions::warm_basis): consecutive Metis iterations re-solve the
-  /// same-shaped LP with only capacities/acceptance perturbed.
+  /// Optional basis-reuse slot for the BL-SPM relaxation: when non-null,
+  /// the solve warm-starts from *warm_basis and writes the optimal basis
+  /// back (see Basis in lp/types.h).  Consecutive Metis iterations re-solve
+  /// the same-shaped LP with only capacities/acceptance perturbed.
   lp::Basis* warm_basis = nullptr;
   /// Online admission (see IncrementalState in metis.h): when non-null,
   /// committed requests are pinned — excluded from the LP (their loads are

@@ -438,8 +438,10 @@ TEST(Metis, SurfacesInnerSolveStatusAndStats) {
   EXPECT_EQ(result.taa_status, lp::SolveStatus::Optimal);
   EXPECT_GT(result.lp_stats.iterations, 0);
   EXPECT_GE(result.lp_stats.cold_starts, 1);
-  // Each loop solves one MAA and (unless it stopped at the trim step) one
-  // TAA relaxation; every solve is either warm or cold.
+  // Every loop but one that stopped at the trim step solves one TAA
+  // relaxation, and MAA solves one per distinct accepted set (at least
+  // one, at most one a loop; SameSetRounds.SolvesOncePerDistinctSet pins
+  // the exact count).  Every solve is either warm or cold.
   const int solves =
       result.lp_stats.cold_starts + result.lp_stats.warm_starts;
   EXPECT_GE(solves, result.iterations_run);
@@ -591,6 +593,91 @@ TEST(SameSetRounds, IncrementalDecideOnStallingInstanceIsPinned) {
     EXPECT_EQ(iter.accepted_after_taa, 27);
   }
   EXPECT_EQ(decision_crc(result), 0x2a730f62u);
+}
+
+/// LP solves a call makes when MAA relaxes each distinct accepted set once:
+/// one TAA solve per loop that passed the trim step, plus one MAA solve per
+/// set.  Within a call the set only shrinks, so loop k's set differs from
+/// loop k-1's exactly when the accepted counts differ.  `first` is the
+/// count loop 0's set stands for (every free request, commitments
+/// included, as in `accepted_after_taa`).  History-only, so it holds with
+/// telemetry compiled out.
+int solves_for(const MetisResult& result, int first) {
+  int solves = 0;
+  int previous = -1;
+  for (std::size_t k = 0; k < result.history.size(); ++k) {
+    const int size = k == 0 ? first : result.history[k - 1].accepted_after_taa;
+    if (size != previous) ++solves;
+    previous = size;
+    if (result.history[k].trimmed_edge >= 0) ++solves;
+  }
+  return solves;
+}
+
+int starts(const MetisResult& result) {
+  return result.lp_stats.warm_starts + result.lp_stats.cold_starts;
+}
+
+TEST(SameSetRounds, SolvesOncePerDistinctSet) {
+  for (const bool warm : {true, false}) {
+    for (const int theta : {16, 0}) {
+      for (std::uint64_t seed = 16; seed <= 18; ++seed) {
+        const SpmInstance instance = instance_for(seed, 30);
+        MetisOptions options;
+        options.theta = theta;
+        options.warm_start = warm;
+        Rng rng(seed);
+        const MetisResult result = run_metis(instance, rng, options);
+        ASSERT_EQ(result.maa_status, lp::SolveStatus::Optimal);
+        EXPECT_EQ(starts(result), solves_for(result, instance.num_requests()))
+            << "seed " << seed << " theta " << theta << " warm " << warm;
+      }
+    }
+    // All 16 loops keep the same 32 requests: one RL-SPM and 16 BL-SPM
+    // solves.
+    MetisOptions options;
+    options.warm_start = warm;
+    Rng rng = Rng(1).split(0);
+    const MetisResult stalled = run_metis(stalling_prefix(32), rng, options);
+    EXPECT_EQ(starts(stalled), 17) << "warm " << warm;
+    EXPECT_EQ(starts(stalled), solves_for(stalled, 32));
+  }
+}
+
+TEST(SameSetRounds, IncrementalSolvesOncePerDistinctSet) {
+  // The stalling instance with its first 16 arrivals committed, and a
+  // SUB-B4 book with half its requests committed, capped as a fault
+  // repair caps them.
+  const SpmInstance first = stalling_prefix(16);
+  Rng first_rng = Rng(1).split(0);
+  const std::vector<int> stalled_pins =
+      run_metis(first, first_rng).schedule.path_choice;
+  const SpmInstance sub = instance_for(21, 40);
+  Rng sub_rng(21);
+  const MetisResult full = run_metis(sub, sub_rng);
+  const std::vector<int> sub_pins(full.schedule.path_choice.begin(),
+                                  full.schedule.path_choice.begin() + 20);
+  const std::vector<int> caps(sub.num_edges(), 3);
+  for (const bool warm : {true, false}) {
+    for (const bool stalled : {true, false}) {
+      const SpmInstance instance = stalled ? stalling_prefix(32) : sub;
+      IncrementalState state;
+      state.committed = stalled ? stalled_pins : sub_pins;
+      state.slack_start = true;
+      MetisOptions options;
+      options.warm_start = warm;
+      if (!stalled) options.edge_capacity = &caps;
+      Rng rng = Rng(7).split(1);
+      const MetisResult result =
+          run_metis_incremental(instance, state, rng, options);
+      ASSERT_EQ(result.maa_status, lp::SolveStatus::Optimal);
+      int first = instance.num_requests() -
+                  static_cast<int>(state.committed.size());
+      for (int j : state.committed) first += j != kDeclined ? 1 : 0;
+      EXPECT_EQ(starts(result), solves_for(result, first))
+          << "stalled " << stalled << " warm " << warm;
+    }
+  }
 }
 
 }  // namespace
