@@ -500,7 +500,7 @@ TEST(IncrementalLpPins, AdoptedDecisionRepairedThroughThreeFaults) {
   expect_work_pin({book.stats().repairs, book.lp_stats().iterations,
                    serialize::crc32(work.bytes()),
                    serialize::crc32(decision.bytes())},
-                  {3, 1173, 0x66cbb8bb, 0x12afc865});
+                  {3, 348, 0xd5612670, 0x12afc865});
 }
 
 TEST(FaultDegenerateLp, ZeroCapacityEdgesSolveCleanlyOnBothRatioTests) {
