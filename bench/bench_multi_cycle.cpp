@@ -7,8 +7,10 @@
 // snapshots the finished cycle grid after every N cycles; `--resume P`
 // restarts from a snapshot and replays only the remaining cycles, with
 // totals byte-identical to the uninterrupted run.
+#include <exception>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "bench_util.h"
@@ -46,7 +48,16 @@ int main(int argc, char** argv) {
                     : ", resumed from " + config.resume_path)
             << ") ===\n\n";
   const sim::BillingCycleSimulator simulator(config);
-  const auto outcomes = simulator.run(sim::standard_policies());
+  std::vector<sim::PolicyOutcome> outcomes;
+  try {
+    outcomes = simulator.run(sim::standard_policies());
+  } catch (const std::exception& e) {
+    // A --resume file that cannot be read, was taken under another
+    // configuration or does not restore, or a snapshot that cannot be
+    // written, ends the run with a message instead of an abort.
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 
   TablePrinter cycles({"cycle", "offered", "accept-all", "EcoFlow", "Metis"});
   for (int cycle = 0; cycle < config.cycles; ++cycle) {

@@ -20,6 +20,7 @@
 //   $ ./bench_online_admission --requests 48 --seed 1 --csv
 //   $ ./bench_online_admission --baseline-json ../bench/online_admission_baseline.json
 //   $ ./bench_online_admission --check-resume --fault-rate 0.5
+#include <exception>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -267,7 +268,16 @@ int main(int argc, char** argv) {
     // would each overwrite the other's checkpoint file.
     config.batch_size = flag_batch_size;
     const sim::OnlineAdmissionSimulator simulator(config);
-    const sim::OnlineResult result = simulator.run();
+    sim::OnlineResult result;
+    try {
+      result = simulator.run();
+    } catch (const std::exception& e) {
+      // A --resume file that cannot be read, was taken under another
+      // configuration or does not restore, or a snapshot that cannot be
+      // written, ends the run with a message instead of an abort.
+      std::cerr << "error: " << e.what() << '\n';
+      return 1;
+    }
     std::cout << "=== online replay ("
               << (config.resume_path.empty()
                       ? "from the start"

@@ -10,8 +10,10 @@
 //
 // Pass --telemetry-json <path> to dump the run's telemetry registry
 // (per-phase spans, decide-latency histogram) as JSON.
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "util/args.h"
@@ -41,7 +43,16 @@ int main(int argc, char** argv) {
   args.finish();
 
   const sim::BillingCycleSimulator simulator(config);
-  const auto outcomes = simulator.run(sim::standard_policies());
+  std::vector<sim::PolicyOutcome> outcomes;
+  try {
+    outcomes = simulator.run(sim::standard_policies());
+  } catch (const std::exception& e) {
+    // A --resume file that cannot be read, was taken under another
+    // configuration or does not restore, or a snapshot that cannot be
+    // written, ends the run with a message instead of an abort.
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 
   std::cout << "Billing cycles: " << config.cycles << ", demand growth "
             << config.demand_growth * 100 << "% per cycle, starting at "

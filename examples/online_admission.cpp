@@ -9,6 +9,7 @@
 //      the whole bid book at once.
 //
 //   $ ./online_admission --requests 60 --batch 8 --delay 0.5 --seed 1
+#include <exception>
 #include <iostream>
 
 #include "sim/online.h"
@@ -44,7 +45,16 @@ int main(int argc, char** argv) {
             << config.batch_size << " or " << config.max_batch_delay
             << " slots of queueing, whichever first\n\n";
 
-  const sim::OnlineResult online = simulator.run();
+  sim::OnlineResult online;
+  try {
+    online = simulator.run();
+  } catch (const std::exception& e) {
+    // A --resume file that cannot be read, was taken under another
+    // configuration or does not restore, or a snapshot that cannot be
+    // written, ends the run with a message instead of an abort.
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 
   TablePrinter batches({"batch", "flush t", "arrivals", "accepted",
                         "running profit", "LP iters", "decide ms"});

@@ -4,7 +4,8 @@
 # Writes real checkpoints with the online_admission and multi_cycle examples
 # (--checkpoint-every), then runs every ckpt_inspect subcommand on them:
 # `validate` and `dump` decode the whole image, `diff` compares two files
-# section by section, and a truncated file must be rejected.
+# section by section, and a truncated file must be rejected, by
+# `validate` and by both examples' --resume.
 #
 #   tools/test_ckpt_inspect.sh <ckpt_inspect> <online_admission> <multi_cycle>
 set -u
@@ -67,8 +68,20 @@ head -c $((size - 7)) "$work/online_a.ckpt" > "$work/truncated.ckpt"
 expect_exit 1 "validate of a truncated file" \
   "$inspect" validate "$work/truncated.ckpt"
 
+# Resuming either example from an unreadable file must exit 1 with the
+# reader's message, not abort.
+head -c 8 "$work/online_a.ckpt" > "$work/header.ckpt"
+expect_exit 1 "online resume from a truncated file" \
+  "$online" --requests 24 --batch 6 --seed 2 --resume "$work/header.ckpt"
+grep -q "^error: .*truncated header" "$work/out" ||
+  fail "online resume from a truncated file does not print the error"
+expect_exit 1 "multi-cycle resume from a truncated file" \
+  "$multi" --cycles 2 --requests 40 --resume "$work/header.ckpt"
+grep -q "^error: .*truncated header" "$work/out" ||
+  fail "multi-cycle resume from a truncated file does not print the error"
+
 if [ "$failures" -ne 0 ]; then
   echo "ckpt_inspect: $failures check(s) failed" >&2
   exit 1
 fi
-echo "ckpt_inspect: validate, dump, diff and truncation checks passed"
+echo "ckpt_inspect: validate, dump, diff, truncation and resume checks passed"
