@@ -66,6 +66,15 @@ MaaRelaxation relax_maa(const SpmInstance& instance,
   if (relaxation.accepted.empty()) {
     relaxation.accepted.assign(instance.num_requests(), true);
   }
+  // Sized before the model exists, so that the kept vectors do not land
+  // above the model's soon-freed memory; allocated after it, they raised
+  // offline-b4's peak RSS (7.78 -> 7.89 MB, median of 10 perfbench runs).
+  std::size_t columns = 0;
+  for (int i = 0; i < instance.num_requests(); ++i) {
+    if (relaxation.accepted[i]) columns += instance.num_paths(i);
+  }
+  relaxation.x_hat.reserve(columns);
+  relaxation.fractional_c.assign(instance.num_edges(), 0.0);
   const IncrementalContext* inc = options.incremental;
   const LoadMatrix* pinned = inc != nullptr ? inc->committed_loads : nullptr;
   const SpmModel model = build_rl_spm(instance, relaxation.accepted, pinned,
@@ -78,7 +87,6 @@ MaaRelaxation relax_maa(const SpmInstance& instance,
   relaxation.objective = relaxed.objective;
 
   // Fractional ĉ_e and alpha = min positive ĉ_e.
-  relaxation.fractional_c.assign(instance.num_edges(), 0.0);
   for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
     relaxation.fractional_c[e] = relaxed.x.at(model.c_var[e]);
   }
