@@ -531,10 +531,10 @@ TEST(Metis, MoreThetaNeverHurtsMuch) {
 
 // ------------------------------------------------ same-set round pins ----
 //
-// ROADMAP item 2's stalling instance: the first 32 arrivals of the seed-1
-// B4 stream (48 expected arrivals).  TAA keeps all 32 requests accepted in
-// every one of the 16 rounds, so every round's MAA pass relaxes the same
-// accepted set.  The pins are CRC-32s of the schedule, plan and profit;
+// An instance on which the θ loop stalls: the first 32 arrivals of the
+// seed-1 B4 stream (48 expected arrivals).  TAA keeps all 32 requests
+// accepted in every one of the 16 rounds, so every round's MAA pass
+// relaxes the same accepted set.  The pins are CRC-32s of the schedule, plan and profit;
 // a change to how those rounds reach their relaxation must not move them.
 
 SpmInstance stalling_prefix(int arrivals) {
