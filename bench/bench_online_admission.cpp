@@ -252,7 +252,14 @@ int main(int argc, char** argv) {
               << to_string(config.base.network) << ", seed "
               << config.base.seed << ", batch size " << config.batch_size
               << ", fault rate " << config.faults.rate << " ===\n";
-    const int failures = run_resume_parity(config, parity_path);
+    int failures = 0;
+    try {
+      failures = run_resume_parity(config, parity_path);
+    } catch (const std::exception& e) {
+      // The parity checkpoints could not be written or read back.
+      std::cerr << "error: " << e.what() << '\n';
+      return 1;
+    }
     if (failures > 0) {
       std::cout << failures << " diverging boundaries\n";
       return 1;
