@@ -440,21 +440,31 @@ void expect_work_pin(const WorkPin& got, const WorkPin& want) {
 
 /// B4, 48 expected arrivals, fault rate 0.5, batches of 6.  The repairs the
 /// replay runs between batches enter through the book's total.
-WorkPin online_work_pin(bool cross_batch_warm_start) {
-  OnlineConfig config = online_config(34, 0.5, RepairPolicy::Reroute);
+OnlineConfig online_pin_config(std::uint64_t seed) {
+  OnlineConfig config = online_config(seed, 0.5, RepairPolicy::Reroute);
   config.base.num_requests = 48;
+  return config;
+}
+
+/// CRC-32 of a replay's final schedule, plan and net profit.
+std::uint32_t online_decision_crc(const OnlineResult& r) {
+  serialize::ByteWriter decision;
+  for (int j : r.schedule.path_choice) decision.i32(j);
+  for (int u : r.plan.units) decision.i32(u);
+  decision.f64(r.net_profit);
+  return serialize::crc32(decision.bytes());
+}
+
+WorkPin online_work_pin(bool cross_batch_warm_start) {
+  OnlineConfig config = online_pin_config(34);
   config.cross_batch_warm_start = cross_batch_warm_start;
   const OnlineResult r = OnlineAdmissionSimulator(config).run();
   EXPECT_GT(r.fault_stats.repairs, 0);
   serialize::ByteWriter work;
   for (const BatchRecord& b : r.batches) put_work(work, b.lp_stats);
   put_work(work, r.lp_stats);
-  serialize::ByteWriter decision;
-  for (int j : r.schedule.path_choice) decision.i32(j);
-  for (int u : r.plan.units) decision.i32(u);
-  decision.f64(r.net_profit);
   return {static_cast<int>(r.batches.size()), r.lp_stats.iterations,
-          serialize::crc32(work.bytes()), serialize::crc32(decision.bytes())};
+          serialize::crc32(work.bytes()), online_decision_crc(r)};
 }
 
 TEST(IncrementalLpPins, OnlineFaultReplayWithCrossBatchWarmStart) {
@@ -463,6 +473,14 @@ TEST(IncrementalLpPins, OnlineFaultReplayWithCrossBatchWarmStart) {
 
 TEST(IncrementalLpPins, OnlineFaultReplayWithoutCrossBatchWarmStart) {
   expect_work_pin(online_work_pin(false), {7, 1533, 0xa218468e, 0x04e465c6});
+}
+
+TEST(IncrementalLpPins, OnlineFaultReplayDecisionAtSeed35) {
+  // The same stream at seed 35: a replay whose fault repairs run between
+  // decides that solved BL-SPM to optimality.  Only the decision is pinned.
+  const OnlineResult r = OnlineAdmissionSimulator(online_pin_config(35)).run();
+  EXPECT_GT(r.fault_stats.repairs, 0);
+  EXPECT_EQ(online_decision_crc(r), 0x7f41339fu);
 }
 
 TEST(IncrementalLpPins, AdoptedDecisionRepairedThroughThreeFaults) {
