@@ -1,14 +1,10 @@
 // Extension — streaming admission (sim/online.h): profit and decide latency
 // as a function of batch size, from pure online admission (batch size 1) to
 // the paper's offline regime (one batch covering the whole stream), plus
-// warm-vs-cold simplex iteration counts measuring what the cross-batch
-// warm start saves: a batch's first BL-SPM solve starts from the slack
-// basis instead of cold through presolve (core::IncrementalState).
-//
-// Every row replays the same arrival stream twice — once with cross-batch
-// warm starts, once cold — so the two iteration columns are directly
-// comparable.  Decisions are identical between the two replays (warm starts
-// change work, never results); profit therefore appears once per row.
+// the simplex work of each replay: iterations and warm/cold starts.  Warm
+// starts happen only within a decide (one run_metis_incremental call,
+// BL-SPM re-solves of an unchanged accepted set); every decide's first
+// solves start cold, as offline.
 //
 // The binary doubles as the checkpoint/restore driver (src/persist/):
 // `--checkpoint-every N --checkpoint-path P` makes a single replay write
@@ -38,8 +34,7 @@ namespace {
 
 struct SweepRow {
   int batch_size = 0;
-  metis::sim::OnlineResult warm;
-  metis::sim::OnlineResult cold;
+  metis::sim::OnlineResult result;
 };
 
 bool same_lp_stats(const metis::lp::SolveStats& a,
@@ -184,30 +179,22 @@ void write_baseline_json(const std::string& path,
      << ", \"simplex_iterations\": " << offline.lp_stats.iterations << "},\n";
   os << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    const double ratio = offline.best.profit != 0
-                             ? row.warm.profit.profit / offline.best.profit
-                             : 0.0;
-    os << "    {\"batch_size\": " << row.batch_size
-       << ", \"batches\": " << row.warm.batches.size()
-       << ", \"profit\": " << row.warm.profit.profit
+    const metis::sim::OnlineResult& r = rows[i].result;
+    const double ratio =
+        offline.best.profit != 0 ? r.profit.profit / offline.best.profit : 0.0;
+    os << "    {\"batch_size\": " << rows[i].batch_size
+       << ", \"batches\": " << r.batches.size()
+       << ", \"profit\": " << r.profit.profit
        << ", \"profit_ratio_vs_offline\": " << ratio
-       << ", \"accepted\": " << row.warm.total_accepted << ",\n";
-    os << "     \"warm\": {\"simplex_iterations\": "
-       << row.warm.lp_stats.iterations
-       << ", \"warm_starts\": " << row.warm.lp_stats.warm_starts
-       << ", \"cold_starts\": " << row.warm.lp_stats.cold_starts << "},\n";
-    os << "     \"cold\": {\"simplex_iterations\": "
-       << row.cold.lp_stats.iterations
-       << ", \"warm_starts\": " << row.cold.lp_stats.warm_starts
-       << ", \"cold_starts\": " << row.cold.lp_stats.cold_starts << "},\n";
+       << ", \"accepted\": " << r.total_accepted << ",\n";
+    os << "     \"lp\": {\"simplex_iterations\": " << r.lp_stats.iterations
+       << ", \"warm_starts\": " << r.lp_stats.warm_starts
+       << ", \"cold_starts\": " << r.lp_stats.cold_starts << "},\n";
     os << "     \"per_batch\": [";
-    for (std::size_t b = 0; b < row.warm.batches.size(); ++b) {
+    for (std::size_t b = 0; b < r.batches.size(); ++b) {
       if (b > 0) os << ", ";
-      os << "{\"arrivals\": " << row.warm.batches[b].arrivals
-         << ", \"iterations_warm\": " << row.warm.batches[b].lp_stats.iterations
-         << ", \"iterations_cold\": " << row.cold.batches[b].lp_stats.iterations
-         << "}";
+      os << "{\"arrivals\": " << r.batches[b].arrivals
+         << ", \"iterations\": " << r.batches[b].lp_stats.iterations << "}";
     }
     os << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -316,40 +303,27 @@ int main(int argc, char** argv) {
 
   std::vector<SweepRow> rows;
   for (int batch_size : batch_sizes) {
-    SweepRow row;
-    row.batch_size = batch_size;
     config.batch_size = batch_size;
-    config.cross_batch_warm_start = true;
-    row.warm = sim::OnlineAdmissionSimulator(config).run();
-    config.cross_batch_warm_start = false;
-    row.cold = sim::OnlineAdmissionSimulator(config).run();
-    if (row.warm.profit.profit != row.cold.profit.profit) {
-      std::cerr << "BUG: warm starts changed the decision at batch size "
-                << batch_size << "\n";
-      return 1;
-    }
-    rows.push_back(std::move(row));
+    rows.push_back({batch_size, sim::OnlineAdmissionSimulator(config).run()});
   }
 
   TablePrinter table({"batch", "batches", "profit", "vs offline", "accepted",
-                      "iters warm", "iters cold", "warm starts", "cold starts",
+                      "iterations", "warm starts", "cold starts",
                       "avg decide ms"});
   for (const SweepRow& row : rows) {
+    const sim::OnlineResult& r = row.result;
     double decide_ms = 0;
-    for (const auto& b : row.warm.batches) decide_ms += b.decide_ms;
-    if (!row.warm.batches.empty()) decide_ms /= row.warm.batches.size();
+    for (const auto& b : r.batches) decide_ms += b.decide_ms;
+    if (!r.batches.empty()) decide_ms /= r.batches.size();
     table.add_row(
         {static_cast<long long>(row.batch_size),
-         static_cast<long long>(row.warm.batches.size()),
-         row.warm.profit.profit,
-         offline.best.profit != 0
-             ? row.warm.profit.profit / offline.best.profit
-             : 0.0,
-         static_cast<long long>(row.warm.total_accepted),
-         static_cast<long long>(row.warm.lp_stats.iterations),
-         static_cast<long long>(row.cold.lp_stats.iterations),
-         static_cast<long long>(row.warm.lp_stats.warm_starts),
-         static_cast<long long>(row.warm.lp_stats.cold_starts), decide_ms});
+         static_cast<long long>(r.batches.size()), r.profit.profit,
+         offline.best.profit != 0 ? r.profit.profit / offline.best.profit
+                                  : 0.0,
+         static_cast<long long>(r.total_accepted),
+         static_cast<long long>(r.lp_stats.iterations),
+         static_cast<long long>(r.lp_stats.warm_starts),
+         static_cast<long long>(r.lp_stats.cold_starts), decide_ms});
   }
   bench::emit(table, csv, "profit and LP work vs batch size");
 

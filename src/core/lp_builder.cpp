@@ -185,36 +185,15 @@ SpmModel build_rl_spm(const SpmInstance& instance,
 
 SpmModel build_bl_spm(const SpmInstance& instance, const ChargingPlan& capacities,
                       const std::vector<bool>& accepted_in,
-                      const BlSpmOptions& options, const LoadMatrix* pinned) {
+                      const LoadMatrix* pinned) {
   if (static_cast<int>(capacities.units.size()) != instance.num_edges()) {
     throw std::invalid_argument("build_bl_spm: capacity size mismatch");
-  }
-  if (options.cost_weight < 0) {
-    throw std::invalid_argument("build_bl_spm: negative cost_weight");
   }
   const std::vector<bool> accepted = resolve_accepted(instance, accepted_in);
   SpmModel model;
   model.problem.set_sense(lp::Sense::Maximize);
   model.x_var = add_x_columns(instance, accepted, /*obj_value_factor=*/1.0,
                               model.problem);
-  if (options.cost_weight > 0) {
-    // Internalize an estimated bandwidth footprint per (request, path).
-    for (int i = 0; i < instance.num_requests(); ++i) {
-      if (!accepted[i]) continue;
-      const workload::Request& r = instance.request(i);
-      const double share =
-          r.rate * static_cast<double>(r.duration()) / instance.num_slots();
-      for (int j = 0; j < instance.num_paths(i); ++j) {
-        double path_price = 0;
-        for (net::EdgeId e : instance.paths(i)[j].edges) {
-          path_price += instance.topology().edge(e).price;
-        }
-        const int col = model.x_var[i][j];
-        model.problem.set_objective_coef(
-            col, r.value - options.cost_weight * share * path_price);
-      }
-    }
-  }
   add_assignment_rows(instance, accepted, model.x_var, lp::RowType::LessEqual,
                       model.problem);
   model.cap_row = add_capacity_rows(instance, accepted, model.x_var,

@@ -81,16 +81,6 @@ SpmModel build_rl_spm(const SpmInstance& instance,
                       const LoadMatrix* pinned = nullptr,
                       const std::vector<int>* purchase_cap = nullptr);
 
-/// Extension knobs for BL-SPM (beyond the paper, see DESIGN.md):
-struct BlSpmOptions {
-  /// 0 (the paper): maximize pure revenue.  > 0: subtract
-  /// `cost_weight * r_i * (duration_i / T) * path_price_j` from the
-  /// objective coefficient of x_{i,j} — an internalized estimate of the
-  /// bandwidth a request consumes on its path, making the solver prefer
-  /// cheap routes and decline bids that cannot cover their footprint.
-  double cost_weight = 0;
-};
-
 /// BL-SPM under per-edge capacities (units.size() == num_edges).  Only
 /// requests with accepted[i] == true participate (empty = all).
 ///
@@ -100,7 +90,6 @@ struct BlSpmOptions {
 /// trim floor).  nullptr / all-zero reproduces the offline model exactly.
 SpmModel build_bl_spm(const SpmInstance& instance, const ChargingPlan& capacities,
                       const std::vector<bool>& accepted = {},
-                      const BlSpmOptions& options = {},
                       const LoadMatrix* pinned = nullptr);
 
 /// The full SPM problem (used with MipSolver for OPT(SPM)).
@@ -116,11 +105,10 @@ Schedule schedule_from_solution(const SpmInstance& instance, const SpmModel& mod
 ChargingPlan plan_from_solution(const SpmInstance& instance, const SpmModel& model,
                                 const std::vector<double>& x);
 
-/// Pinning/warm-start context threaded through one MAA or TAA solve by the
-/// incremental Metis loop (online admission, see MetisOptions /
-/// IncrementalState in metis.h).  All pointers are non-owning; any may be
-/// null.  With `committed`/`committed_loads` null — or pointing at an
-/// all-declined schedule / all-zero matrix — and `slack_start` off, the
+/// Pinning context threaded through one MAA or TAA solve by the
+/// incremental Metis loop (online admission, see IncrementalState in
+/// metis.h).  Both pointers are non-owning; either may be null.  With them
+/// null — or pointing at an all-declined schedule / all-zero matrix — the
 /// solve is byte-identical to the offline one.
 struct IncrementalContext {
   /// Full-size schedule of already-committed decisions (kDeclined for every
@@ -129,11 +117,6 @@ struct IncrementalContext {
   const Schedule* committed = nullptr;
   /// Loads of the committed acceptances (compute_loads over *committed).
   const LoadMatrix* committed_loads = nullptr;
-  /// BL-SPM only: start a solve whose warm basis is empty from the slack
-  /// basis — every x at its lower bound, every row's slack basic — instead
-  /// of cold.  BL-SPM's rows are all <= with non-negative right-hand sides,
-  /// so that basis is feasible and the simplex always accepts it.
-  bool slack_start = false;
 };
 
 /// The inverse of schedule_from_solution: encodes a concrete decision as a

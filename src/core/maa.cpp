@@ -39,23 +39,6 @@ Schedule round_once(const SpmInstance& instance, const MaaRelaxation& relaxation
   return schedule;
 }
 
-/// Ablation variant: argmax-probability path per request (no sampling).
-Schedule round_argmax(const SpmInstance& instance,
-                      const MaaRelaxation& relaxation, const Schedule& base) {
-  Schedule schedule = base;
-  std::size_t offset = 0;
-  for (int i = 0; i < instance.num_requests(); ++i) {
-    if (!relaxation.accepted[i]) continue;
-    const std::span<const double> x = paths_of(instance, i, relaxation.x_hat, offset);
-    int best = 0;
-    for (int j = 1; j < static_cast<int>(x.size()); ++j) {
-      if (x[j] > x[best]) best = j;
-    }
-    schedule.path_choice[i] = best;
-  }
-  return schedule;
-}
-
 }  // namespace
 
 MaaRelaxation relax_maa(const SpmInstance& instance,
@@ -133,9 +116,7 @@ MaaResult round_maa(const SpmInstance& instance,
     result.cost = cost(instance.topology(), result.plan);
     result.schedule = std::move(candidate);
   };
-  if (options.deterministic) {
-    keep(round_argmax(instance, relaxation, pin_base));
-  } else if (options.rounding_trials == 1) {
+  if (options.rounding_trials == 1) {
     // The paper's Algorithm 1 verbatim: one rounding drawn directly from the
     // caller's generator (bit-identical to the historical serial behaviour,
     // which the multi-cycle simulator and Metis's default path rely on).

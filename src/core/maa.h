@@ -29,9 +29,6 @@ struct IncrementalContext;  // core/lp_builder.h
 struct MaaOptions {
   /// Independent roundings of stage 2, cheapest kept (1 = the paper).
   int rounding_trials = 1;
-  /// Deterministic variant (ablation): instead of sampling, each request
-  /// takes its argmax-probability path.  `rounding_trials` is ignored.
-  bool deterministic = false;
   /// Worker threads for the best-of-N rounding loop (0 = all hardware
   /// threads, 1 = strictly serial).  With `rounding_trials > 1` each trial
   /// draws from an index-addressed stream (`Rng::split(trial)`) and the

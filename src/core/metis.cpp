@@ -277,13 +277,13 @@ int admit_profitable(const SpmInstance& instance, Schedule& schedule,
 namespace {
 
 /// Shared body of run_metis / run_metis_incremental.  `state == nullptr`
-/// (or an empty committed prefix with `slack_start` off) is the offline loop:
+/// (or an empty committed prefix) is the offline loop:
 /// every pinned structure below is then empty / all-zero, and each use
 /// reduces bit for bit to the historical behaviour — which is what makes
 /// the single-batch online mode reproduce the offline decision exactly.
 MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
                            const MetisOptions& options,
-                           IncrementalState* state) {
+                           const IncrementalState* state) {
   if (options.theta < 0) throw std::invalid_argument("Metis: theta must be >= 0");
   METIS_SPAN("metis");
   telemetry::count("metis.runs");
@@ -371,10 +371,8 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
   // the LP keeps its shape (lp_builder's column order is a function of the
   // accepted set alone), so each re-solve warm-starts from the previous
   // optimum; when acceptance shrinks the shape changes and the solver
-  // silently falls back to a cold start.  The incremental path
-  // additionally starts the first BL-SPM solve of a decide from the slack
-  // basis when an earlier decide's last BL-SPM solve ended optimal with a
-  // basis (IncrementalState::slack_start).
+  // silently falls back to a cold start.  The first solve of a call is
+  // cold: nothing carries over from an earlier call.
   lp::Basis taa_basis;
   TaaOptions taa_options = options.taa;
   if (options.warm_start) taa_options.warm_basis = &taa_basis;
@@ -385,7 +383,6 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     maa_options.incremental = &inc;
     taa_options.incremental = &inc;
   }
-  const bool carry_slack_start = state != nullptr && options.warm_start;
 
   for (int loop = 0; loop < max_loops; ++loop) {
     MetisIteration iter;
@@ -434,7 +431,6 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     }
 
     // BL-SPM Solver: best revenue under the limited bandwidth.
-    if (carry_slack_start) inc.slack_start = state->slack_start;
     const TaaResult taa = run_taa(instance, limited, accepted, taa_options);
     result.taa_status = taa.status;
     result.lp_stats += taa.lp_stats;
@@ -445,7 +441,6 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
       ++result.iterations_run;
       break;
     }
-    if (carry_slack_start) state->slack_start = !taa_basis.empty();
     // Charge only what the TAA schedule actually needs (<= limited).
     const ChargingPlan taa_plan =
         charging_from_loads(compute_loads(instance, taa.schedule));
@@ -482,7 +477,7 @@ MetisResult run_metis(const SpmInstance& instance, Rng& rng,
 }
 
 MetisResult run_metis_incremental(const SpmInstance& instance,
-                                  IncrementalState& state, Rng& rng,
+                                  const IncrementalState& state, Rng& rng,
                                   const MetisOptions& options) {
   return run_metis_impl(instance, rng, options, &state);
 }

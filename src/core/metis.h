@@ -56,14 +56,14 @@ struct MetisOptions {
     options.rounding_trials = 8;
     return options;
   }();
-  /// Inner TAA options (augmentation, fallback mu, LP knobs).
+  /// Inner TAA options (augmentation, LP knobs).
   TaaOptions taa;
-  /// Carry a simplex basis across alternation iterations: each BL-SPM
-  /// re-solve warm-starts from the previous loop's optimal basis whenever
-  /// the accepted set (and hence the LP shape) is unchanged, and silently
-  /// cold-starts otherwise; the incremental loop also slack-starts its
-  /// first BL-SPM solve (IncrementalState::slack_start).  Off solves every
-  /// BL-SPM relaxation cold (the ablation baseline measured by
+  /// Carry a simplex basis between the alternation rounds of one call:
+  /// each BL-SPM re-solve warm-starts from the previous round's optimal
+  /// basis whenever the accepted set (and hence the LP shape) is
+  /// unchanged, and silently cold-starts otherwise.  Every other solve is
+  /// cold through presolve, and no LP state outlives the call.  Off solves
+  /// every BL-SPM relaxation cold (the ablation baseline measured by
   /// bench_lp_solver).  RL-SPM is not affected either way: every round
   /// that keeps the accepted set reuses the relaxation solved for it, and
   /// every new set is solved cold.
@@ -146,9 +146,9 @@ int admit_profitable(const SpmInstance& instance, Schedule& schedule,
 MetisResult run_metis(const SpmInstance& instance, Rng& rng,
                       const MetisOptions& options = {});
 
-/// Cross-batch carry-over of the online admission pipeline (sim/online.h).
-/// With `committed` empty and `slack_start` off, run_metis_incremental is
-/// bit-identical to run_metis — the anchor the single-batch test pins.
+/// The commitments of the online admission pipeline (sim/online.h).  With
+/// `committed` empty, run_metis_incremental is bit-identical to run_metis —
+/// the anchor the single-batch test pins.
 struct IncrementalState {
   /// Hard commitments: final decisions for the first `committed.size()`
   /// requests of the instance, in arrival order (path index or kDeclined).
@@ -156,20 +156,15 @@ struct IncrementalState {
   /// keep their path (their loads move into the LP right-hand sides and
   /// floor the BW limiter), declined ones stay declined.
   std::vector<int> committed;
-  /// The last BL-SPM solve of an earlier decide ended optimal with a
-  /// basis: the next decide starts its first BL-SPM solve from the slack
-  /// basis (IncrementalContext::slack_start).  Set after every optimal
-  /// BL-SPM solve when warm starts are on; starts off.
-  bool slack_start = false;
 };
 
 /// Metis over `instance` treating the leading `state.committed.size()`
 /// requests as already decided.  The returned schedule/plan/profit cover
 /// the *whole* instance (commitments included); the caller appends the new
-/// decisions to `state.committed` before the next batch.  `state` is only
-/// mutated through `slack_start`.
+/// decisions to `state.committed` before the next batch.  A call decides
+/// from its arguments alone: no LP state carries from one call to the next.
 MetisResult run_metis_incremental(const SpmInstance& instance,
-                                  IncrementalState& state, Rng& rng,
+                                  const IncrementalState& state, Rng& rng,
                                   const MetisOptions& options = {});
 
 }  // namespace metis::core

@@ -16,6 +16,9 @@ namespace metis::core {
 
 namespace {
 
+/// mu when inequality (6) has no solution (tiny capacities).
+constexpr double kFallbackMu = 0.5;
+
 /// True if routing request i on path j keeps every touched (e,t) within
 /// capacity given the loads committed so far.
 bool fits(const SpmInstance& instance, const ChargingPlan& capacities,
@@ -63,19 +66,10 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
                         : Schedule::all_declined(instance.num_requests());
 
   // Step 2: LP relaxation of BL-SPM.
-  BlSpmOptions bl_options;
-  bl_options.cost_weight = options.cost_weight;
-  const SpmModel model =
-      build_bl_spm(instance, capacities, accepted, bl_options, pinned);
-  lp::Basis* warm = options.warm_basis;
-  if (warm != nullptr && warm->empty() && inc != nullptr && inc->slack_start) {
-    const int n = model.problem.num_variables();
-    warm->status.assign(n, lp::BasisStatus::AtLower);
-    warm->status.resize(n + model.problem.num_rows(), lp::BasisStatus::Basic);
-    if (!warm->empty()) telemetry::count("taa.basis_lifts");
-  }
+  const SpmModel model = build_bl_spm(instance, capacities, accepted, pinned);
   const lp::SimplexSolver solver(options.lp);
-  const lp::LpSolution relaxed = solver.solve(model.problem, warm);
+  const lp::LpSolution relaxed =
+      solver.solve(model.problem, options.warm_basis);
   result.status = relaxed.status;
   result.lp_stats = relaxed.stats;
   if (!relaxed.ok()) return result;
@@ -114,8 +108,8 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
   double mu = choose_mu(min_cap / r_max, T, N);
   if (mu <= 0) {
     METIS_LOG_DEBUG << "TAA: inequality (6) unsatisfiable, falling back to mu="
-                    << options.fallback_mu;
-    mu = options.fallback_mu;
+                    << kFallbackMu;
+    mu = kFallbackMu;
   }
   result.mu = mu;
 

@@ -33,13 +33,6 @@ struct IncrementalContext;  // core/lp_builder.h
 struct TaaOptions {
   /// Greedy re-admission of walk-declined requests that still fit.
   bool augment = true;
-  /// Fallback mu when inequality (6) has no solution (tiny capacities).
-  double fallback_mu = 0.5;
-  /// Extension (see BlSpmOptions::cost_weight): > 0 makes the relaxation
-  /// prefer cheap routes / decline bids below their bandwidth footprint.
-  /// With a non-zero weight `lp_revenue` holds the LP *objective*, which is
-  /// no longer an upper bound on revenue.
-  double cost_weight = 0;
   /// Simplex knobs for the relaxation solve.
   lp::SimplexOptions lp;
   /// Optional basis-reuse slot for the BL-SPM relaxation: when non-null,
@@ -50,9 +43,8 @@ struct TaaOptions {
   /// Online admission (see IncrementalState in metis.h): when non-null,
   /// committed requests are pinned — excluded from the LP (their loads are
   /// subtracted from the capacity rows' RHS), pre-loaded into the walk's
-  /// feasibility guard, and merged verbatim into the returned schedule —
-  /// and, with `incremental->slack_start` set and `warm_basis` empty, the
-  /// relaxation starts from the slack basis.  Null: plain offline solve.
+  /// feasibility guard, and merged verbatim into the returned schedule.
+  /// Null: plain offline solve.
   const IncrementalContext* incremental = nullptr;
 };
 

@@ -102,7 +102,6 @@ void sections(auto& io, Is<OnlineCheckpoint> auto& c) {
              c.repair_index, c.surge_index, c.oldest_queued, c.total_arrivals,
              c.total_accepted);
   io.section(kSectionBatches, c.batches);
-  io.section(kSectionIncremental, c.slack_start);
   io.section(kSectionEntries, c.entries);
   io.section(kSectionTopology, c.topology);
   io.section(kSectionFaults, c.refunds, c.fault_stats, c.book_lp_stats);
@@ -281,7 +280,6 @@ std::string section_name(std::uint32_t id) {
   switch (id) {
     case kSectionMeta: return "meta";
     case kSectionBatches: return "batches";
-    case kSectionIncremental: return "incremental";
     case kSectionEntries: return "entries";
     case kSectionTopology: return "topology";
     case kSectionFaults: return "faults";

@@ -22,9 +22,9 @@
 //    just counters: the batch index, the fault-repair index, the surge
 //    index, and the arrival/fault-event cursors into their deterministic
 //    streams;
-//  * the LP warm-start state carried between decides (the book's
-//    slack-start flag) is saved, so even simplex iteration counts continue
-//    exactly;
+//  * no LP state is carried from one decide to the next (each
+//    run_metis_incremental call starts its solves cold), so there is none
+//    to save, and even simplex iteration counts continue exactly;
 //  * the mutated Topology is restored through the epoch-preserving
 //    restore_* setters and the PathCache image is reloaded against the
 //    identical epoch, so post-resume lookups hit and miss exactly as the
@@ -49,7 +49,6 @@ namespace metis::persist {
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,         ///< kind, fingerprint, replay cursors
   kSectionBatches = 2,      ///< per-batch records (online)
-  kSectionIncremental = 4,  ///< LP warm-start state (the slack-start flag)
   kSectionEntries = 6,      ///< CommittedBook entries (online)
   kSectionTopology = 7,     ///< mutated topology state + epoch
   kSectionFaults = 8,       ///< refund ledger + fault stats + book lp stats
@@ -130,9 +129,6 @@ struct OnlineCheckpoint {
   std::vector<BatchState> batches;
 
   // --- the committed book -----------------------------------------------
-  /// core::IncrementalState::slack_start.  The state's `committed` is not
-  /// saved: the book rebuilds it from the entries before every solve.
-  bool slack_start = false;
   std::vector<BookEntryState> entries;
   TopologyState topology;
   core::RefundLedger refunds;

@@ -35,7 +35,7 @@ namespace metis::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'E', 'T', 'I',
                                            'S', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Any malformed container: bad magic, unsupported version, CRC mismatch,
 /// truncation, out-of-order or duplicate sections, trailing bytes.

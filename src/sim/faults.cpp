@@ -336,13 +336,14 @@ CommittedBook::Attempt CommittedBook::attempt_decide(Rng& rng) {
   core::SpmInstance instance(topo_, book, config_, &cache_, &require);
   const std::vector<int> choice =
       reserved_schedule(instance, require).path_choice;
-  state_.committed.assign(choice.begin(),
-                          choice.begin() + attempt.num_committed);
+  core::IncrementalState state;
+  state.committed.assign(choice.begin(),
+                         choice.begin() + attempt.num_committed);
 
   const std::vector<int> caps = effective_caps(topo_);
   core::MetisOptions options = repair_.metis;
   options.edge_capacity = &caps;
-  attempt.result = core::run_metis_incremental(instance, state_, rng, options);
+  attempt.result = core::run_metis_incremental(instance, state, rng, options);
   lp_stats_ += attempt.result.lp_stats;
 
   attempt.chosen_path.resize(book.size());
@@ -405,8 +406,6 @@ core::MetisResult CommittedBook::decide_pending(Rng& rng) {
   }
   return std::move(attempt.result);
 }
-
-void CommittedBook::drop_warm_starts() { state_.slack_start = false; }
 
 bool CommittedBook::inject(const FaultEvent& event, Rng& rng) {
   METIS_SPAN("fault.inject");
@@ -659,7 +658,6 @@ void CommittedBook::export_state(persist::OnlineCheckpoint& ckpt) const {
     t.node_enabled.push_back(topo_.node_enabled(node) ? 1 : 0);
   }
   t.epoch = topo_.epoch();
-  ckpt.slack_start = state_.slack_start;
   ckpt.refunds = refunds_;
   ckpt.fault_stats = {stats_.injected,  stats_.network_changes,
                       stats_.repairs,   stats_.victims,
@@ -726,7 +724,6 @@ void CommittedBook::restore_state(const persist::OnlineCheckpoint& ckpt) {
     entries_.push_back(Entry{image.request, static_cast<Status>(image.status),
                              image.path, image.was_committed});
   }
-  state_.slack_start = ckpt.slack_start;
   refunds_ = ckpt.refunds;
   stats_ = FaultStats{ckpt.fault_stats.injected,
                       ckpt.fault_stats.network_changes,

@@ -196,12 +196,6 @@ class CommittedBook {
   /// LP's caps).  Newly accepted decisions become commitments.
   core::MetisResult decide_pending(Rng& rng);
 
-  /// Forgets the LP state carried from one decide to the next, so the next
-  /// decide cold-starts its first BL-SPM solve instead of starting it from
-  /// the slack basis (the online replay calls this before each batch when
-  /// cross-batch warm starts are off).
-  void drop_warm_starts();
-
   /// Replays one fault event: mutates the topology, marks victims
   /// (dropping or re-queuing them per the repair policy) and — when the
   /// network changed and there is anything to re-decide — runs the repair
@@ -240,8 +234,7 @@ class CommittedBook {
 
   // --- checkpoint/restore (src/persist/) -------------------------------
   /// Copies the book's full mutable state — entries, mutated topology,
-  /// refund ledger, fault/LP counters, the slack-start flag, path cache —
-  /// into the checkpoint.
+  /// refund ledger, fault/LP counters, path cache — into the checkpoint.
   void export_state(persist::OnlineCheckpoint& ckpt) const;
   /// Rehydrates the book from a checkpoint taken by export_state against
   /// the same pristine topology (shape pinned by the config fingerprint).
@@ -286,9 +279,6 @@ class CommittedBook {
   RepairConfig repair_;
   net::PathCache cache_;
   std::vector<Entry> entries_;
-  /// The slack-start flag carried across decides; `committed` is rebuilt
-  /// from the entries before every solve.
-  core::IncrementalState state_;
   core::RefundLedger refunds_;
   FaultStats stats_;
   lp::SolveStats lp_stats_;

@@ -84,7 +84,6 @@ std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   fp.mix(config_.arrivals_per_slot);
   fp.mix(config_.batch_size);
   fp.mix(config_.max_batch_delay);
-  fp.mix(config_.cross_batch_warm_start);
   const core::MetisOptions& m = config_.metis;
   fp.mix(m.theta);
   fp.mix(m.trim_units);
@@ -92,10 +91,7 @@ std::uint64_t OnlineAdmissionSimulator::config_fingerprint() const {
   fp.mix(m.local_search);
   fp.mix(m.warm_start);
   fp.mix(m.maa.rounding_trials);
-  fp.mix(m.maa.deterministic);
   fp.mix(m.taa.augment);
-  fp.mix(m.taa.fallback_mu);
-  fp.mix(m.taa.cost_weight);
   mix_fault_config(fp, config_.faults, config_.repair_policy,
                    config_.refund_factor, config_.max_shed_rounds);
   return fp.value();
@@ -192,7 +188,6 @@ OnlineResult OnlineAdmissionSimulator::run() const {
     // sizes stay deterministic for any thread count.
     Rng rng =
         Rng(config_.base.seed).split(static_cast<std::uint64_t>(rec.batch));
-    if (!config_.cross_batch_warm_start) book.drop_warm_starts();
     const int accepted_before = book.accepted_count();
     const core::MetisResult decided = book.decide_pending(rng);
     // Net change: a shed inside the decide can make this negative.

@@ -11,9 +11,8 @@
 //   3. decides each batch through a CommittedBook (sim/faults.h): one
 //      core::run_metis_incremental re-decide with every accepted request
 //      pinned on its reserved path, under the network's per-edge capacity
-//      caps, its first BL-SPM solve started from the slack basis once an
-//      earlier decide solved one (core::IncrementalState) and sharing one
-//      net::PathCache,
+//      caps and sharing one net::PathCache.  A decide carries no LP state
+//      from the one before it: its first solves start cold, as offline,
 //   4. interleaves the seeded fault stream, if any, with the arrivals: the
 //      book repairs the commitments a fault hits.  At fault rate 0 the
 //      stream is empty and the same loop sees arrivals only.
@@ -52,12 +51,6 @@ struct OnlineConfig {
   double max_batch_delay = 0;
   /// Options for every incremental Metis re-decide.
   core::MetisOptions metis;
-  /// Start each batch's first BL-SPM solve from the slack basis once an
-  /// earlier decide solved one to optimality (core::IncrementalState).
-  /// Off = every batch cold-starts its first solves — the ablation the
-  /// bench reports as warm-vs-cold simplex iterations.  Decisions are
-  /// identical either way; only the iteration counts move.
-  bool cross_batch_warm_start = true;
   /// Fault injection (sim/faults.h).  faults.rate == 0 — the default —
   /// injects nothing.  With a positive rate the replay interleaves the
   /// seeded fault stream with the arrival stream and the book repairs the

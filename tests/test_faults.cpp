@@ -400,12 +400,11 @@ TEST(OnlineFaults, DecisionsInvariantAcrossRoundingThreads) {
 // ------------------------------------------- incremental LP work pins ----
 //
 // CRC-32 pins of the simplex work that run_metis_incremental does in fault
-// mode, where every decide and repair re-solves with commitments pinned and
-// carries LP state from one decide to the next: each decide's and each
-// repair's iterations, factorizations and warm/cold starts, the book's
-// total, and the final schedule, plan and net profit.  A change to what a
-// decide starts its solves from that moves one pivot, or turns one warm
-// start cold, fails here.
+// mode, where every decide and repair re-solves with commitments pinned:
+// each decide's and each repair's iterations, factorizations and warm/cold
+// starts, the book's total, and the final schedule, plan and net profit.
+// A change to what a decide starts its solves from that moves one pivot,
+// or turns one warm start cold, fails here.
 
 void put_work(serialize::ByteWriter& out, const lp::SolveStats& s) {
   out.i64(s.iterations);
@@ -455,24 +454,15 @@ std::uint32_t online_decision_crc(const OnlineResult& r) {
   return serialize::crc32(decision.bytes());
 }
 
-WorkPin online_work_pin(bool cross_batch_warm_start) {
-  OnlineConfig config = online_pin_config(34);
-  config.cross_batch_warm_start = cross_batch_warm_start;
-  const OnlineResult r = OnlineAdmissionSimulator(config).run();
+TEST(IncrementalLpPins, OnlineFaultReplay) {
+  const OnlineResult r = OnlineAdmissionSimulator(online_pin_config(34)).run();
   EXPECT_GT(r.fault_stats.repairs, 0);
   serialize::ByteWriter work;
   for (const BatchRecord& b : r.batches) put_work(work, b.lp_stats);
   put_work(work, r.lp_stats);
-  return {static_cast<int>(r.batches.size()), r.lp_stats.iterations,
-          serialize::crc32(work.bytes()), online_decision_crc(r)};
-}
-
-TEST(IncrementalLpPins, OnlineFaultReplayWithCrossBatchWarmStart) {
-  expect_work_pin(online_work_pin(true), {7, 1546, 0x44ec818c, 0x04e465c6});
-}
-
-TEST(IncrementalLpPins, OnlineFaultReplayWithoutCrossBatchWarmStart) {
-  expect_work_pin(online_work_pin(false), {7, 1533, 0xa218468e, 0x04e465c6});
+  expect_work_pin({static_cast<int>(r.batches.size()), r.lp_stats.iterations,
+                   serialize::crc32(work.bytes()), online_decision_crc(r)},
+                  {7, 1533, 0xa218468e, 0x04e465c6});
 }
 
 TEST(IncrementalLpPins, OnlineFaultReplayDecisionAtSeed35) {

@@ -174,7 +174,7 @@ TEST(Builder, BlSpmPinnedAboveCapacityClampsToZero) {
   pinned.add(0, 0, 3.0);  // committed load far above the cap below
   ChargingPlan caps;
   caps.units.assign(instance.num_edges(), 1);
-  const SpmModel model = build_bl_spm(instance, caps, {}, {}, &pinned);
+  const SpmModel model = build_bl_spm(instance, caps, {}, &pinned);
   const lp::LpSolution sol = lp::SimplexSolver().solve(model.problem);
   // Feasible: the clamped row only forbids *new* load on the shrunk edge.
   ASSERT_TRUE(sol.ok());
@@ -238,38 +238,6 @@ TEST(Builder, PlanFromSolutionRoundsC) {
   EXPECT_EQ(plan.units[0], 2);
   EXPECT_EQ(plan.units[3], 1);
   EXPECT_EQ(plan.units[1], 0);
-}
-
-TEST(Builder, CostWeightLowersPathCoefficients) {
-  const SpmInstance instance = tiny_instance();
-  ChargingPlan caps;
-  caps.units.assign(instance.num_edges(), 5);
-  BlSpmOptions options;
-  options.cost_weight = 1.0;
-  const SpmModel plain = build_bl_spm(instance, caps);
-  const SpmModel aware = build_bl_spm(instance, caps, {}, options);
-  for (int i = 0; i < instance.num_requests(); ++i) {
-    for (int j = 0; j < instance.num_paths(i); ++j) {
-      const double c_plain = plain.problem.objective_coef(plain.x_var[i][j]);
-      const double c_aware = aware.problem.objective_coef(aware.x_var[i][j]);
-      EXPECT_LT(c_aware, c_plain);  // footprint subtracted
-      // Expensive paths are penalized more than cheap ones.
-    }
-    if (instance.num_paths(i) >= 2) {
-      const double cheap = aware.problem.objective_coef(aware.x_var[i][0]);
-      const double dear = aware.problem.objective_coef(aware.x_var[i][1]);
-      EXPECT_GE(cheap, dear);  // Yen order: path 0 is the cheapest
-    }
-  }
-}
-
-TEST(Builder, CostWeightNegativeThrows) {
-  const SpmInstance instance = tiny_instance();
-  ChargingPlan caps;
-  caps.units.assign(instance.num_edges(), 5);
-  BlSpmOptions bad;
-  bad.cost_weight = -0.5;
-  EXPECT_THROW(build_bl_spm(instance, caps, {}, bad), std::invalid_argument);
 }
 
 TEST(Builder, ColumnsFromDecisionRoundTrips) {
@@ -492,7 +460,7 @@ TEST(Builder, CapacityRowsEqualTheFullScanOnAPinnedBook) {
   for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
     caps.units.push_back(e % 3);
   }
-  const SpmModel bl = build_bl_spm(instance, caps, accepted, {}, &pinned);
+  const SpmModel bl = build_bl_spm(instance, caps, accepted, &pinned);
   expect_capacity_rows(bl, scan_capacity_rows(instance, accepted, bl, &caps,
                                               pinned));
 

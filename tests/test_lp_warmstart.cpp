@@ -253,11 +253,10 @@ TEST(Degeneracy, SingularAfterMutationBasisFallsBackToCold) {
 }
 
 // ------------------------------------------------------ slack start ----
-// The incremental Metis loop starts a decide's first BL-SPM solve from the
-// slack basis (core::IncrementalContext::slack_start).  BL-SPM's rows are
-// all <= with non-negative right-hand sides, pinned loads or not, so the
-// simplex must accept that basis, and from there it walks the same pivots
-// as a cold solve without presolve, which starts from the same basis.
+// BL-SPM's rows are all <= with non-negative right-hand sides, pinned loads
+// or not, so the simplex must accept the slack basis as a warm start, and
+// from there it walks the same pivots as a cold solve without presolve,
+// which starts from the same basis.
 
 TEST(WarmStart, BlSpmSlackStartMatchesUnpresolvedColdSolve) {
   SimplexOptions no_presolve;
@@ -280,7 +279,7 @@ TEST(WarmStart, BlSpmSlackStartMatchesUnpresolvedColdSolve) {
       SCOPED_TRACE("seed " + std::to_string(seed) +
                    (with_pins ? ", pinned prefix" : ", nothing pinned"));
       const core::SpmModel model =
-          with_pins ? core::build_bl_spm(instance, caps, free, {}, &pinned)
+          with_pins ? core::build_bl_spm(instance, caps, free, &pinned)
                     : core::build_bl_spm(instance, caps);
       const int n = model.problem.num_variables();
       Basis slack;

@@ -7,7 +7,6 @@
 
 #include "core/accounting.h"
 #include "core/instance.h"
-#include "core/lp_builder.h"
 #include "core/maa.h"
 #include "sim/scenario.h"
 #include "sim/validate.h"
@@ -158,40 +157,6 @@ TEST(Maa, RoundingFollowsLpProbabilities) {
       if (counts[i][j] > 0) ++used;
     }
     EXPECT_GE(used, 1);
-  }
-}
-
-TEST(Maa, DeterministicVariantIgnoresRngAndTrials) {
-  const SpmInstance instance = small_instance(11, 24);
-  MaaOptions options;
-  options.deterministic = true;
-  options.rounding_trials = 16;  // must be ignored
-  Rng a(1), b(999);
-  const MaaResult ra = run_maa(instance, {}, a, options);
-  const MaaResult rb = run_maa(instance, {}, b, options);
-  ASSERT_TRUE(ra.ok());
-  EXPECT_EQ(ra.schedule.path_choice, rb.schedule.path_choice);
-  // RNG state untouched: both generators still produce identical streams.
-  EXPECT_DOUBLE_EQ(Rng(1).uniform(0, 1), Rng(1).uniform(0, 1));
-}
-
-TEST(Maa, DeterministicVariantPicksArgmaxPath) {
-  const SpmInstance instance = small_instance(12, 20);
-  MaaOptions options;
-  options.deterministic = true;
-  Rng rng(1);
-  const MaaResult result = run_maa(instance, {}, rng, options);
-  ASSERT_TRUE(result.ok());
-  // Re-derive argmax from a fresh LP solve and compare.
-  const SpmModel model = build_rl_spm(instance);
-  const lp::LpSolution relaxed = lp::SimplexSolver().solve(model.problem);
-  ASSERT_TRUE(relaxed.ok());
-  for (int i = 0; i < instance.num_requests(); ++i) {
-    const int chosen = result.schedule.path_choice[i];
-    for (int j = 0; j < instance.num_paths(i); ++j) {
-      EXPECT_GE(relaxed.x[model.x_var[i][chosen]],
-                relaxed.x[model.x_var[i][j]] - 1e-9);
-    }
   }
 }
 

@@ -580,7 +580,6 @@ TEST(SameSetRounds, IncrementalDecideOnStallingInstanceIsPinned) {
   const MetisResult committed = run_metis(first, first_rng);
   IncrementalState state;
   state.committed = committed.schedule.path_choice;
-  state.slack_start = true;
   const SpmInstance instance = stalling_prefix(32);
   Rng rng = Rng(1).split(1);
   const MetisResult result = run_metis_incremental(instance, state, rng);
@@ -663,7 +662,6 @@ TEST(SameSetRounds, IncrementalSolvesOncePerDistinctSet) {
       const SpmInstance instance = stalled ? stalling_prefix(32) : sub;
       IncrementalState state;
       state.committed = stalled ? stalled_pins : sub_pins;
-      state.slack_start = true;
       MetisOptions options;
       options.warm_start = warm;
       if (!stalled) options.edge_capacity = &caps;

@@ -385,7 +385,6 @@ persist::OnlineCheckpoint sample_online_checkpoint() {
   req.end_slot = 3;
   req.rate = 2.5;
   req.value = 40;
-  ckpt.slack_start = true;
   persist::BookEntryState entry;
   entry.request = req;
   entry.status = 1;
@@ -421,7 +420,6 @@ TEST(CheckpointCodec, OnlineRoundTrip) {
   ASSERT_EQ(back.batches.size(), 1u);
   EXPECT_EQ(back.batches[0].profit, 123.5);
   EXPECT_EQ(back.batches[0].lp_stats.iterations, 77);
-  EXPECT_TRUE(back.slack_start);
   ASSERT_EQ(back.entries.size(), 1u);
   EXPECT_EQ(back.entries[0].request.rate, 2.5);
   EXPECT_EQ(back.entries[0].status, 1);

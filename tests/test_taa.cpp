@@ -150,39 +150,6 @@ TEST(Taa, TightCapacityDeclinesSome) {
   EXPECT_TRUE(sim::check_schedule(instance, result.schedule, caps).empty());
 }
 
-TEST(Taa, CostWeightStillFeasibleAndCheaperRoutes) {
-  // The cost-aware extension must keep every guarantee that matters
-  // (feasibility) while steering acceptance toward affordable requests.
-  const SpmInstance instance = capped_instance(12, 80, 3);
-  const ChargingPlan caps = uniform_caps(instance, 3);
-  TaaOptions aware;
-  aware.cost_weight = 1.0;
-  const TaaResult plain = run_taa(instance, caps);
-  const TaaResult result = run_taa(instance, caps, {}, aware);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(sim::check_schedule(instance, result.schedule, caps).empty());
-  // The internalized footprint can only lower the LP objective vs revenue.
-  EXPECT_LE(result.lp_revenue, plain.lp_revenue + 1e-6);
-}
-
-TEST(Taa, CostWeightZeroMatchesDefault) {
-  const SpmInstance instance = capped_instance(13, 40, 3);
-  const ChargingPlan caps = uniform_caps(instance, 3);
-  TaaOptions zero;
-  zero.cost_weight = 0.0;
-  const TaaResult a = run_taa(instance, caps);
-  const TaaResult b = run_taa(instance, caps, {}, zero);
-  EXPECT_EQ(a.schedule.path_choice, b.schedule.path_choice);
-}
-
-TEST(Taa, NegativeCostWeightThrows) {
-  const SpmInstance instance = capped_instance(14, 10, 1);
-  TaaOptions bad;
-  bad.cost_weight = -1;
-  EXPECT_THROW(run_taa(instance, uniform_caps(instance, 1), {}, bad),
-               std::invalid_argument);
-}
-
 TEST(Splittable, UpperBoundsUnsplittableRevenue) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const SpmInstance instance = capped_instance(seed, 60, 2);
