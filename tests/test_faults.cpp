@@ -508,7 +508,7 @@ TEST(IncrementalLpPins, AdoptedDecisionRepairedThroughThreeFaults) {
   expect_work_pin({book.stats().repairs, book.lp_stats().iterations,
                    serialize::crc32(work.bytes()),
                    serialize::crc32(decision.bytes())},
-                  {3, 348, 0xd5612670, 0x12afc865});
+                  {3, 338, 0x84c8a52d, 0x12afc865});
 }
 
 TEST(FaultDegenerateLp, ZeroCapacityEdgesSolveCleanlyOnBothRatioTests) {
