@@ -584,8 +584,8 @@ std::uint32_t image_crc(const std::vector<std::uint8_t>& bytes) {
 TEST(CheckpointFormat, OnlineImageBytesArePinned) {
   const std::vector<std::uint8_t> bytes =
       persist::encode(full_online_checkpoint());
-  EXPECT_EQ(bytes.size(), 1107u);
-  EXPECT_EQ(image_crc(bytes), 0xa88a92c1u);
+  EXPECT_EQ(bytes.size(), 1090u);
+  EXPECT_EQ(image_crc(bytes), 0x1185f8e7u);
   const persist::OnlineCheckpoint back =
       persist::decode_online(persist::SnapshotReader(bytes, "test"));
   EXPECT_EQ(persist::encode(back), bytes);
@@ -595,7 +595,7 @@ TEST(CheckpointFormat, MultiCycleImageBytesArePinned) {
   const std::vector<std::uint8_t> bytes =
       persist::encode(full_multi_cycle_checkpoint());
   EXPECT_EQ(bytes.size(), 739u);
-  EXPECT_EQ(image_crc(bytes), 0x5cb0037du);
+  EXPECT_EQ(image_crc(bytes), 0xdb9bac2cu);
   const persist::MultiCycleCheckpoint back =
       persist::decode_multi_cycle(persist::SnapshotReader(bytes, "test"));
   EXPECT_EQ(persist::encode(back), bytes);
@@ -891,10 +891,10 @@ sim::OnlineConfig small_online_config(double fault_rate) {
 TEST(CheckpointFormat, ConfigFingerprintsArePinned) {
   EXPECT_EQ(sim::OnlineAdmissionSimulator(sim::OnlineConfig{})
                 .config_fingerprint(),
-            0xeaf979430c3449d8ULL);
+            0x4b853b17af7d8964ULL);
   EXPECT_EQ(sim::OnlineAdmissionSimulator(small_online_config(0.6))
                 .config_fingerprint(),
-            0x727d3a5c8617ebafULL);
+            0x9430ca2f6f5dbbfbULL);
   const auto policies = sim::standard_policies();
   EXPECT_EQ(sim::BillingCycleSimulator(sim::SimulationConfig{})
                 .config_fingerprint(policies),
