@@ -51,9 +51,11 @@ for f in $files; do
   rm -f /tmp/check_docs_targets.$$
 
   # Bare file references in prose: `path/file.md` style mentions of repo
-  # documents (DESIGN.md §N, docs/ALGORITHMS.md, ...).
-  grep -o '\(docs\|tools\|bench\|src\|tests\|examples\)/[A-Za-z0-9_./-]*\.\(md\|sh\|json\|h\|cpp\)' "$f" \
-      | sort -u | while IFS= read -r t; do echo "$t"; done \
+  # documents (DESIGN.md §N, docs/ALGORITHMS.md, ...).  A reference starts
+  # at the beginning of a line or after a character that cannot be part of
+  # a path, so the `bench/` inside `perfbench/` does not start one.
+  grep -oE '(^|[^A-Za-z0-9_./-])(docs|tools|bench|perfbench|src|tests|examples)/[A-Za-z0-9_./-]*\.(md|sh|json|h|cpp)' "$f" \
+      | sed -E 's/^[^A-Za-z0-9_./-]//' | sort -u \
       > /tmp/check_docs_bare.$$ || true
   while IFS= read -r t; do
     checked=$((checked + 1))
