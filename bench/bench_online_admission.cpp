@@ -12,11 +12,14 @@
 // `--check-resume` runs the kill-at-every-slot-boundary parity harness —
 // resume from each boundary must reproduce the uninterrupted run's profit,
 // schedule and decision counters byte for byte (exit 1 on any divergence).
+// A passing check deletes the checkpoints it wrote; a failing one keeps
+// them and prints where they are.
 //
 //   $ ./bench_online_admission --requests 48 --seed 1 --csv
 //   $ ./bench_online_admission --baseline-json ../bench/online_admission_baseline.json
 //   $ ./bench_online_admission --check-resume --fault-rate 0.5
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -107,7 +110,9 @@ void reset_registry() {
 /// Kill/restore parity harness: replays the stream once uninterrupted, once
 /// writing a snapshot at every slot boundary, then resumes from each
 /// boundary and diffs every deterministic output field plus the decision
-/// counters.  Returns the number of diverging boundaries.
+/// counters.  Returns the number of diverging boundaries.  The snapshots
+/// (`ckpt_path` and `ckpt_path.slot<k>`) are deleted when none diverges
+/// and kept otherwise.
 int run_resume_parity(metis::sim::OnlineConfig config,
                       const std::string& ckpt_path) {
   using metis::sim::OnlineAdmissionSimulator;
@@ -141,9 +146,12 @@ int run_resume_parity(metis::sim::OnlineConfig config,
   }
 
   const int num_slots = config.base.instance.num_slots;
+  const auto slot_path = [&](int boundary) {
+    return ckpt_path + ".slot" + std::to_string(boundary);
+  };
   for (int boundary = 1; boundary < num_slots; ++boundary) {
     metis::sim::OnlineConfig resumed = config;
-    resumed.resume_path = ckpt_path + ".slot" + std::to_string(boundary);
+    resumed.resume_path = slot_path(boundary);
     reset_registry();
     const OnlineResult result = OnlineAdmissionSimulator(resumed).run();
     const auto diffs = diff_results(reference, result);
@@ -158,7 +166,16 @@ int run_resume_parity(metis::sim::OnlineConfig config,
       std::cout << '\n';
     }
   }
-  return failures;
+  if (failures > 0) {
+    std::cout << "checkpoints kept: " << ckpt_path << " and "
+              << slot_path(1) << " .. " << slot_path(num_slots - 1) << '\n';
+    return failures;
+  }
+  std::filesystem::remove(ckpt_path);
+  for (int boundary = 1; boundary < num_slots; ++boundary) {
+    std::filesystem::remove(slot_path(boundary));
+  }
+  return 0;
 }
 
 void write_baseline_json(const std::string& path,
