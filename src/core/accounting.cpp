@@ -26,9 +26,16 @@ double LoadMatrix::mean(net::EdgeId e) const {
   return total / num_slots_;
 }
 
-LoadMatrix compute_loads(const SpmInstance& instance, const Schedule& schedule) {
+LoadMatrix compute_loads(const SpmInstance& instance, const Schedule& schedule,
+                         const LoadMatrix* base) {
   validate_shape(instance, schedule);
-  LoadMatrix loads(instance.num_edges(), instance.num_slots());
+  if (base != nullptr && (base->num_edges() != instance.num_edges() ||
+                          base->num_slots() != instance.num_slots())) {
+    throw std::invalid_argument("compute_loads: base load shape mismatch");
+  }
+  LoadMatrix loads = base != nullptr
+                         ? *base
+                         : LoadMatrix(instance.num_edges(), instance.num_slots());
   for (int i = 0; i < instance.num_requests(); ++i) {
     const int j = schedule.path_choice[i];
     if (j == kDeclined) continue;
@@ -50,9 +57,10 @@ ChargingPlan charging_from_loads(const LoadMatrix& loads) {
   return plan;
 }
 
-double revenue(const SpmInstance& instance, const Schedule& schedule) {
+double revenue(const SpmInstance& instance, const Schedule& schedule,
+               double base) {
   validate_shape(instance, schedule);
-  double total = 0;
+  double total = base;
   for (int i = 0; i < instance.num_requests(); ++i) {
     if (schedule.accepted(i)) total += instance.request(i).value;
   }

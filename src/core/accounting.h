@@ -52,14 +52,21 @@ inline int charged_units(double peak) {
   return static_cast<int>(std::ceil(peak - num::kCeilGuard));
 }
 
-/// Accumulates the per-edge/per-slot loads of a schedule.
-LoadMatrix compute_loads(const SpmInstance& instance, const Schedule& schedule);
+/// Accumulates the per-edge/per-slot loads of a schedule, request by
+/// request in index order.  `base` (optional, num_edges x num_slots) is
+/// load held outside the instance, such as online commitments: the
+/// schedule's loads are added onto a copy of it.  A base of another shape
+/// throws std::invalid_argument.
+LoadMatrix compute_loads(const SpmInstance& instance, const Schedule& schedule,
+                         const LoadMatrix* base = nullptr);
 
 /// The paper's "ceiling" step: c_e = ceil(max_t load(e, t)).
 ChargingPlan charging_from_loads(const LoadMatrix& loads);
 
-/// Sum of v_i over accepted requests.
-double revenue(const SpmInstance& instance, const Schedule& schedule);
+/// Sum of v_i over accepted requests, added in index order onto `base`
+/// (bids held outside the instance, such as online commitments).
+double revenue(const SpmInstance& instance, const Schedule& schedule,
+               double base = 0);
 
 /// Sum of u_e * c_e.
 double cost(const net::Topology& topology, const ChargingPlan& plan);

@@ -33,10 +33,12 @@ class SpmInstance {
   /// cycle's batch instances so recurring (src, dst) pairs cost a lookup;
   /// nullptr computes paths from scratch (identical results either way).
   ///
-  /// `require_paths` (optional, fault repair): per-request concrete paths
-  /// that must appear in the request's candidate set.  After a topology
-  /// mutation Yen may rank paths differently (or drop the one a committed
-  /// request is pinned to), so the repair machinery passes each survivor's
+  /// `require_paths` (optional): per-request concrete paths that must
+  /// appear in the request's candidate set.  A reserved path need not be
+  /// among Yen's k shortest (a fault repair may have rerouted it, and after
+  /// a topology mutation Yen may rank paths differently), so a caller that
+  /// indexes reservations among the candidates — CommittedBook::validate,
+  /// OnlineResult::schedule (sim::reserved_schedule) — passes each
   /// reserved path here; if Yen's set misses it, it is appended.  Each
   /// non-empty entry must be a live (all edges enabled) simple src->dst
   /// path; empty entries request nothing.  nullptr (or all-empty) leaves

@@ -61,10 +61,10 @@ struct SpmModel {
 /// RL-SPM for the subset of requests with accepted[i] == true.
 /// An empty `accepted` vector means "all requests accepted".
 ///
-/// `pinned` (online admission): per-(edge, slot) loads of requests whose
-/// routing is already committed and therefore NOT part of the model.  The
-/// pinned load moves to the capacity rows' right-hand side (load_free − c_e
-/// ≤ −pinned(e,t)), so the purchased c_e must cover commitments plus
+/// `pinned` (online admission): the per-(edge, slot) load of the
+/// commitments, which are not requests of the instance (IncrementalState
+/// in metis.h).  It moves to the capacity rows' right-hand side (load_free
+/// − c_e ≤ −pinned(e,t)), so the purchased c_e must cover commitments plus
 /// whatever the model routes.  A capacity row is emitted for every (e, t)
 /// with either a potential free load or a positive pinned load.  Passing
 /// nullptr (or an all-zero matrix) reproduces the offline model exactly,
@@ -84,7 +84,7 @@ SpmModel build_rl_spm(const SpmInstance& instance,
 /// BL-SPM under per-edge capacities (units.size() == num_edges).  Only
 /// requests with accepted[i] == true participate (empty = all).
 ///
-/// `pinned` (online admission): committed loads subtracted from the
+/// `pinned` (online admission): the commitments' load, subtracted from the
 /// capacity rows' right-hand side (load_free ≤ cap_e − pinned(e,t)); the
 /// caller guarantees cap_e covers the pinned peak (the incremental Metis
 /// trim floor).  nullptr / all-zero reproduces the offline model exactly.
@@ -104,20 +104,6 @@ Schedule schedule_from_solution(const SpmInstance& instance, const SpmModel& mod
 /// Extracts a ChargingPlan from solved c values (rounded to nearest int).
 ChargingPlan plan_from_solution(const SpmInstance& instance, const SpmModel& model,
                                 const std::vector<double>& x);
-
-/// Pinning context threaded through one MAA or TAA solve by the
-/// incremental Metis loop (online admission, see IncrementalState in
-/// metis.h).  Both pointers are non-owning; either may be null.  With them
-/// null — or pointing at an all-declined schedule / all-zero matrix — the
-/// solve is byte-identical to the offline one.
-struct IncrementalContext {
-  /// Full-size schedule of already-committed decisions (kDeclined for every
-  /// request still free).  Committed requests are excluded from the LP and
-  /// merged verbatim into the returned schedule.
-  const Schedule* committed = nullptr;
-  /// Loads of the committed acceptances (compute_loads over *committed).
-  const LoadMatrix* committed_loads = nullptr;
-};
 
 /// The inverse of schedule_from_solution: encodes a concrete decision as a
 /// full column assignment of `model` (x from the schedule; c, when the model

@@ -24,12 +24,11 @@ std::span<const double> paths_of(const SpmInstance& instance, int i,
   return slice;
 }
 
-/// Stage 2: one randomized rounding of the fractional solution.  `base`
-/// carries the pinned (committed) choices; rounding only writes the
-/// participating requests, so commitments pass through verbatim.
+/// Stage 2: one randomized rounding of the fractional solution; requests
+/// outside the relaxation stay declined.
 Schedule round_once(const SpmInstance& instance, const MaaRelaxation& relaxation,
-                    const Schedule& base, Rng& rng) {
-  Schedule schedule = base;
+                    Rng& rng) {
+  Schedule schedule = Schedule::all_declined(instance.num_requests());
   std::size_t offset = 0;
   for (int i = 0; i < instance.num_requests(); ++i) {
     if (!relaxation.accepted[i]) continue;
@@ -58,10 +57,8 @@ MaaRelaxation relax_maa(const SpmInstance& instance,
   }
   relaxation.x_hat.reserve(columns);
   relaxation.fractional_c.assign(instance.num_edges(), 0.0);
-  const IncrementalContext* inc = options.incremental;
-  const LoadMatrix* pinned = inc != nullptr ? inc->committed_loads : nullptr;
-  const SpmModel model = build_rl_spm(instance, relaxation.accepted, pinned,
-                                      options.edge_capacity);
+  const SpmModel model = build_rl_spm(instance, relaxation.accepted,
+                                      options.committed, options.edge_capacity);
   const lp::LpSolution relaxed =
       lp::SimplexSolver(options.lp).solve(model.problem);
   relaxation.status = relaxed.status;
@@ -100,19 +97,12 @@ MaaResult round_maa(const SpmInstance& instance,
   result.fractional_c = relaxation.fractional_c;
   result.alpha = relaxation.alpha;
 
-  // Online admission: pinned commitments (all-declined when the context is
-  // absent, in which case rounding reduces to offline).
-  const IncrementalContext* inc = options.incremental;
-  const Schedule pin_base =
-      inc != nullptr && inc->committed != nullptr
-          ? *inc->committed
-          : Schedule::all_declined(instance.num_requests());
-
   // Stages 2+3, keeping the cheapest of `rounding_trials` roundings.
   METIS_SPAN("rounding");
   telemetry::count("maa.rounding_trials", options.rounding_trials);
   const auto keep = [&](Schedule candidate) {
-    result.plan = charging_from_loads(compute_loads(instance, candidate));
+    result.plan = charging_from_loads(
+        compute_loads(instance, candidate, options.committed));
     result.cost = cost(instance.topology(), result.plan);
     result.schedule = std::move(candidate);
   };
@@ -120,7 +110,7 @@ MaaResult round_maa(const SpmInstance& instance,
     // The paper's Algorithm 1 verbatim: one rounding drawn directly from the
     // caller's generator (bit-identical to the historical serial behaviour,
     // which the multi-cycle simulator and Metis's default path rely on).
-    keep(round_once(instance, relaxation, pin_base, rng));
+    keep(round_once(instance, relaxation, rng));
   } else {
     // Best-of-N: trial t draws from the index-addressed stream
     // base.split(t), so the set of candidates — and the winner — does not
@@ -138,8 +128,9 @@ MaaResult round_maa(const SpmInstance& instance,
         [&](int trial) {
           Rng trial_rng = base.split(static_cast<std::uint64_t>(trial));
           Candidate c;
-          c.schedule = round_once(instance, relaxation, pin_base, trial_rng);
-          c.plan = charging_from_loads(compute_loads(instance, c.schedule));
+          c.schedule = round_once(instance, relaxation, trial_rng);
+          c.plan = charging_from_loads(
+              compute_loads(instance, c.schedule, options.committed));
           c.cost = cost(instance.topology(), c.plan);
           return c;
         },

@@ -24,8 +24,6 @@
 
 namespace metis::core {
 
-struct IncrementalContext;  // core/lp_builder.h
-
 struct MaaOptions {
   /// Independent roundings of stage 2, cheapest kept (1 = the paper).
   int rounding_trials = 1;
@@ -41,12 +39,12 @@ struct MaaOptions {
   /// Simplex knobs for the relaxation solve, which always starts cold:
   /// no basis is carried into it (Metis reuses a whole relaxation instead).
   lp::SimplexOptions lp;
-  /// Online admission (see IncrementalState in metis.h): when non-null,
-  /// committed requests are pinned — excluded from the LP (their loads move
-  /// to the capacity rows' RHS) and merged verbatim into the returned
-  /// schedule/plan.  Null (the default): plain offline solve,
-  /// bit-identical to the historical path.
-  const IncrementalContext* incremental = nullptr;
+  /// Online admission (see IncrementalState in metis.h): the commitments'
+  /// per-(edge, slot) load.  It moves to the capacity rows' RHS, and each
+  /// rounding's plan is charged for it on top of the instance's load; the
+  /// schedule covers the instance alone.  Null (the default): plain
+  /// offline solve, bit-identical to the historical path.
+  const LoadMatrix* committed = nullptr;
   /// Fault repair: per-edge purchase ceiling on the relaxation's c_e
   /// columns (entry < 0 = uncapacitated; see build_rl_spm).  The rounded
   /// plan can still overshoot a cap — randomized rounding only respects

@@ -14,15 +14,11 @@ namespace metis::core {
 
 int trim_min_utilization_link(const SpmInstance& instance, const Schedule& schedule,
                               ChargingPlan& plan, int units,
-                              const std::vector<int>* floor) {
+                              const LoadMatrix* committed) {
   if (units <= 0) throw std::invalid_argument("trim: units must be positive");
-  if (floor != nullptr &&
-      static_cast<int>(floor->size()) != instance.num_edges()) {
-    throw std::invalid_argument("trim: floor size mismatch");
-  }
-  const LoadMatrix loads = compute_loads(instance, schedule);
+  const LoadMatrix loads = compute_loads(instance, schedule, committed);
   const auto floor_of = [&](net::EdgeId e) {
-    return floor != nullptr ? (*floor)[e] : 0;
+    return committed != nullptr ? charged_units(committed->peak(e)) : 0;
   };
   int target = -1;
   double lowest = 0;
@@ -118,9 +114,8 @@ void apply_request(const SpmInstance& instance, int i, int path_index,
 }  // namespace
 
 int prune_unprofitable(const SpmInstance& instance, Schedule& schedule,
-                       int first_mutable) {
-  validate_shape(instance, schedule);
-  LoadMatrix loads = compute_loads(instance, schedule);
+                       const LoadMatrix* committed) {
+  LoadMatrix loads = compute_loads(instance, schedule, committed);
   std::vector<PeakTree> peaks;
   peaks.reserve(instance.num_edges());
   for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
@@ -133,7 +128,7 @@ int prune_unprofitable(const SpmInstance& instance, Schedule& schedule,
     // Find the accepted request with the most negative (value - saving).
     int worst = -1;
     double worst_margin = -num::kImproveTol;
-    for (int i = first_mutable; i < instance.num_requests(); ++i) {
+    for (int i = 0; i < instance.num_requests(); ++i) {
       const int j = schedule.path_choice[i];
       if (j == kDeclined) continue;
       const workload::Request& r = instance.request(i);
@@ -165,9 +160,8 @@ int prune_unprofitable(const SpmInstance& instance, Schedule& schedule,
 }
 
 int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
-                    int first_mutable) {
-  validate_shape(instance, schedule);
-  LoadMatrix loads = compute_loads(instance, schedule);
+                    const LoadMatrix* committed) {
+  LoadMatrix loads = compute_loads(instance, schedule, committed);
   // Charged cost of the edges a move can touch, from current loads.
   const auto cost_of_edges = [&](const std::vector<net::EdgeId>& edges) {
     double total = 0;
@@ -180,7 +174,7 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (int i = first_mutable; i < instance.num_requests(); ++i) {
+    for (int i = 0; i < instance.num_requests(); ++i) {
       const int current = schedule.path_choice[i];
       if (current == kDeclined || instance.num_paths(i) < 2) continue;
       // Union of edges across all candidate paths of i: only their charges
@@ -220,10 +214,9 @@ int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
 }
 
 int admit_profitable(const SpmInstance& instance, Schedule& schedule,
-                     int first_mutable,
+                     const LoadMatrix* committed,
                      const std::vector<int>* edge_capacity) {
-  validate_shape(instance, schedule);
-  LoadMatrix loads = compute_loads(instance, schedule);
+  LoadMatrix loads = compute_loads(instance, schedule, committed);
   std::vector<double> peak(instance.num_edges());
   for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
     peak[e] = loads.peak(e);
@@ -233,7 +226,7 @@ int admit_profitable(const SpmInstance& instance, Schedule& schedule,
     int best_i = kDeclined;
     int best_j = kDeclined;
     double best_margin = num::kImproveTol;
-    for (int i = first_mutable; i < instance.num_requests(); ++i) {
+    for (int i = 0; i < instance.num_requests(); ++i) {
       if (schedule.accepted(i)) continue;
       const workload::Request& r = instance.request(i);
       for (int j = 0; j < instance.num_paths(i); ++j) {
@@ -274,59 +267,58 @@ int admit_profitable(const SpmInstance& instance, Schedule& schedule,
   return admitted;
 }
 
-namespace {
+MetisResult run_metis(const SpmInstance& instance, Rng& rng,
+                      const MetisOptions& options) {
+  return run_metis_incremental(instance, IncrementalState{}, rng, options);
+}
 
-/// Shared body of run_metis / run_metis_incremental.  `state == nullptr`
-/// (or an empty committed prefix) is the offline loop:
-/// every pinned structure below is then empty / all-zero, and each use
-/// reduces bit for bit to the historical behaviour — which is what makes
-/// the single-batch online mode reproduce the offline decision exactly.
-MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
-                           const MetisOptions& options,
-                           const IncrementalState* state) {
+MetisResult run_metis_incremental(const SpmInstance& instance,
+                                  const IncrementalState& state, Rng& rng,
+                                  const MetisOptions& options) {
   if (options.theta < 0) throw std::invalid_argument("Metis: theta must be >= 0");
   METIS_SPAN("metis");
   telemetry::count("metis.runs");
   const int K = instance.num_requests();
-  const int C = state != nullptr ? static_cast<int>(state->committed.size()) : 0;
-  if (C > K) {
-    throw std::invalid_argument("Metis: more commitments than requests");
-  }
   if (options.edge_capacity != nullptr &&
       static_cast<int>(options.edge_capacity->size()) != instance.num_edges()) {
     throw std::invalid_argument("Metis: edge_capacity size mismatch");
   }
-
-  // Pinned commitments: the first C requests in their final decision.
-  Schedule pin = Schedule::all_declined(K);
-  for (int i = 0; i < C; ++i) pin.path_choice[i] = state->committed[i];
-  validate_shape(instance, pin);
-  const LoadMatrix pinned_loads = compute_loads(instance, pin);
-  // BW-limiter floor: a trim may never cut an edge below what the pinned
-  // requests already consume (their charge is a sunk commitment).
-  std::vector<int> floor_units(instance.num_edges(), 0);
-  for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
-    floor_units[e] = charged_units(pinned_loads.peak(e));
-  }
+  // The commitments' load: null without commitments, and every use below
+  // then reduces bit for bit to the offline loop — which is what makes the
+  // single-batch online mode reproduce the offline decision exactly.
+  const LoadMatrix* committed = state.load ? &*state.load : nullptr;
+  // A decision's breakdown over the whole book: the commitments' bids and
+  // count first, then the instance's.
+  const auto evaluate_book = [&](const Schedule& schedule,
+                                 const ChargingPlan& plan) {
+    ProfitBreakdown pb;
+    pb.revenue = revenue(instance, schedule, state.revenue);
+    pb.cost = cost(instance.topology(), plan);
+    pb.profit = pb.revenue - pb.cost;
+    pb.accepted = state.accepted + schedule.num_accepted();
+    return pb;
+  };
 
   // Convergence mode (theta == 0): run the paper's worst-case bound of K
-  // loops (Section II.C) — here K free requests — with the usual early
-  // exits when the accepted set empties or no bandwidth is left to trim.
-  const int max_loops = options.theta == 0 ? K - C : options.theta;
+  // loops (Section II.C) with the usual early exits when the accepted set
+  // empties or no bandwidth is left to trim.
+  const int max_loops = options.theta == 0 ? K : options.theta;
   MetisResult result;
-  // SP Updater starts from the pinned-only decision: with no commitments
+  // SP Updater starts from declining every request: with no commitments
   // that is the paper's empty decision (no requests, no bandwidth,
-  // profit 0, Section II.C).
-  result.schedule = pin;
-  result.plan = charging_from_loads(pinned_loads);
-  result.best = evaluate_with_plan(instance, result.schedule, result.plan);
+  // profit 0, Section II.C).  Its plan, the commitments' charge, is also
+  // the floor no cap clamp cuts below.
+  result.schedule = Schedule::all_declined(K);
+  result.plan =
+      charging_from_loads(compute_loads(instance, result.schedule, committed));
+  result.best = evaluate_book(result.schedule, result.plan);
+  const std::vector<int> floor_units = result.plan.units;
 
-  // Initialization phase: every *free* request marked "accepted".
-  std::vector<bool> accepted(K, false);
-  for (int i = C; i < K; ++i) accepted[i] = true;
+  // Initialization phase: every request marked "accepted".
+  std::vector<bool> accepted(K, true);
 
   const auto record = [&](const Schedule& schedule, const ChargingPlan& plan) {
-    ProfitBreakdown pb = evaluate_with_plan(instance, schedule, plan);
+    ProfitBreakdown pb = evaluate_book(schedule, plan);
     if (pb.profit > result.best.profit) {
       result.best = pb;
       result.schedule = schedule;
@@ -335,19 +327,23 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     if (options.prune || options.local_search) {
       // SP-updater guards: also consider the cleaned-up variant of the
       // candidate (reroute onto cheaper paths, drop value-negative
-      // requests) — never worse than the candidate itself.  Commitments
-      // (the first C requests) are immutable to both guards.
+      // requests) — never worse than the candidate itself.
       METIS_SPAN("sp_update");
       Schedule improved = schedule;
       int changes = 0;
-      if (options.local_search) changes += reroute_cheaper(instance, improved, C);
-      if (options.prune) changes += prune_unprofitable(instance, improved, C);
-      if (options.local_search) changes += reroute_cheaper(instance, improved, C);
+      if (options.local_search) {
+        changes += reroute_cheaper(instance, improved, committed);
+      }
+      if (options.prune) {
+        changes += prune_unprofitable(instance, improved, committed);
+      }
+      if (options.local_search) {
+        changes += reroute_cheaper(instance, improved, committed);
+      }
       if (changes > 0) {
         const ChargingPlan improved_plan =
-            charging_from_loads(compute_loads(instance, improved));
-        const ProfitBreakdown improved_pb =
-            evaluate_with_plan(instance, improved, improved_plan);
+            charging_from_loads(compute_loads(instance, improved, committed));
+        const ProfitBreakdown improved_pb = evaluate_book(improved, improved_plan);
         if (improved_pb.profit > result.best.profit) {
           result.best = improved_pb;
           result.schedule = std::move(improved);
@@ -360,13 +356,14 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
   };
 
   // The last RL-SPM relaxation, kept with the accepted set it was built
-  // for.  That LP depends on nothing else here: the pinned loads and caps
+  // for.  That LP depends on nothing else here: the committed load and caps
   // are fixed for the call, and the BW limiter's trim only changes BL-SPM's
   // capacities.  A round that keeps the set therefore rounds from the kept
   // relaxation instead of building and solving it again.
   MaaRelaxation relaxation;
   MaaOptions maa_options = options.maa;
   maa_options.edge_capacity = options.edge_capacity;
+  maa_options.committed = committed;
   // BL-SPM basis carried across loops.  While the accepted set is stable
   // the LP keeps its shape (lp_builder's column order is a function of the
   // accepted set alone), so each re-solve warm-starts from the previous
@@ -376,13 +373,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
   lp::Basis taa_basis;
   TaaOptions taa_options = options.taa;
   if (options.warm_start) taa_options.warm_basis = &taa_basis;
-  IncrementalContext inc;
-  if (state != nullptr) {
-    inc.committed = &pin;
-    inc.committed_loads = &pinned_loads;
-    maa_options.incremental = &inc;
-    taa_options.incremental = &inc;
-  }
+  taa_options.committed = committed;
 
   for (int loop = 0; loop < max_loops; ++loop) {
     MetisIteration iter;
@@ -407,14 +398,14 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     iter.profit_after_maa = record(maa.schedule, maa.plan).profit;
 
     // BW Limiter: trim the least-utilized link (rule tau), never below the
-    // pinned floor.
+    // commitments' charge.
     ChargingPlan limited = maa.plan;
     if (options.edge_capacity != nullptr) {
       // Fault repair: the rounded MAA plan may overshoot a shrunk link's
       // physical capacity; the BL-SPM pass must not offer bandwidth that no
-      // longer exists.  Keep the pinned floor even when a fault pushed the
-      // cap below it — the TAA fits() guard then simply admits nothing new
-      // there, and the overload is the repair shed loop's to resolve.
+      // longer exists.  Keep the committed floor even when a fault pushed
+      // the cap below it — the TAA fits() guard then simply admits nothing
+      // new there, and the overload is the repair shed loop's to resolve.
       for (net::EdgeId e = 0; e < instance.num_edges(); ++e) {
         const int cap = (*options.edge_capacity)[e];
         if (cap >= 0 && limited.units[e] > cap) {
@@ -423,7 +414,7 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
       }
     }
     iter.trimmed_edge = trim_min_utilization_link(
-        instance, maa.schedule, limited, options.trim_units, &floor_units);
+        instance, maa.schedule, limited, options.trim_units, committed);
     if (iter.trimmed_edge < 0) {
       result.history.push_back(iter);
       ++result.iterations_run;
@@ -443,9 +434,9 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     }
     // Charge only what the TAA schedule actually needs (<= limited).
     const ChargingPlan taa_plan =
-        charging_from_loads(compute_loads(instance, taa.schedule));
+        charging_from_loads(compute_loads(instance, taa.schedule, committed));
     iter.profit_after_taa = record(taa.schedule, taa_plan).profit;
-    iter.accepted_after_taa = taa.schedule.num_accepted();
+    iter.accepted_after_taa = state.accepted + taa.schedule.num_accepted();
     result.history.push_back(iter);
     ++result.iterations_run;
     // Per-round alternation trajectory: last-value gauges plus a round
@@ -455,11 +446,11 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     telemetry::gauge_set("metis.cost", result.best.cost);
     telemetry::gauge_set("metis.accepted", result.best.accepted);
 
-    // The declined *free* requests leave the working set (convergence
-    // argument of Section II.C); commitments never re-enter it.
+    // The declined requests leave the working set (convergence argument of
+    // Section II.C).
     std::vector<bool> next(K, false);
     int remaining = 0;
-    for (int i = C; i < K; ++i) {
+    for (int i = 0; i < K; ++i) {
       next[i] = taa.schedule.accepted(i);
       remaining += next[i] ? 1 : 0;
     }
@@ -467,19 +458,6 @@ MetisResult run_metis_impl(const SpmInstance& instance, Rng& rng,
     accepted = std::move(next);
   }
   return result;
-}
-
-}  // namespace
-
-MetisResult run_metis(const SpmInstance& instance, Rng& rng,
-                      const MetisOptions& options) {
-  return run_metis_impl(instance, rng, options, nullptr);
-}
-
-MetisResult run_metis_incremental(const SpmInstance& instance,
-                                  const IncrementalState& state, Rng& rng,
-                                  const MetisOptions& options) {
-  return run_metis_impl(instance, rng, options, &state);
 }
 
 }  // namespace metis::core

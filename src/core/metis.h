@@ -11,8 +11,13 @@
 //
 // The loop runs theta times (or until TAA declines everything / the accepted
 // set stops changing), alternately reducing cost and improving revenue.
+//
+// run_metis_incremental (online admission) runs the same loop around
+// commitments that are not requests of the instance: their load enters
+// every LP, charge and trim, their bids and count every record.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/accounting.h"
@@ -102,67 +107,73 @@ struct MetisResult {
 
 /// BW Limiter: among edges with plan.units above their floor, reduces the
 /// one whose average utilization (mean_t load / units) is minimal by
-/// `units`, clamped at the floor.  `floor` is a per-edge minimum purchase
-/// (size num_edges); nullptr means floor 0 everywhere (the offline rule
-/// tau verbatim).  The incremental loop passes the ceiled peaks of the
-/// committed loads so a trim can never cut below what the pinned requests
-/// already consume.  Returns the trimmed edge id, or -1 when every edge is
-/// at its floor.
+/// `units`, clamped at the floor.  `committed` (optional, online
+/// admission) is the commitments' load: it counts in the utilization, and
+/// its ceiled peak is each edge's floor, so a trim never cuts below what
+/// the commitments already consume.  nullptr means floor 0 everywhere (the
+/// offline rule tau verbatim).  Returns the trimmed edge id, or -1 when
+/// every edge is at its floor.
 int trim_min_utilization_link(const SpmInstance& instance, const Schedule& schedule,
                               ChargingPlan& plan, int units = 1,
-                              const std::vector<int>* floor = nullptr);
+                              const LoadMatrix* committed = nullptr);
 
 /// Profit pruning: repeatedly declines the accepted request with the worst
 /// (value - cost saving of removing it) as long as that quantity is
 /// negative, where the saving is the drop in ceiled charging on the
 /// request's path.  Returns the number of requests declined.  Every removal
-/// strictly increases evaluate(instance, schedule).profit.  Requests below
-/// `first_mutable` are commitments: their loads still count, but they are
-/// never declined.
+/// strictly increases the profit of the schedule.  `committed` (optional)
+/// is load held outside the instance: it counts toward every charge, so a
+/// request that rides on a unit it already bought saves nothing by leaving.
 int prune_unprofitable(const SpmInstance& instance, Schedule& schedule,
-                       int first_mutable = 0);
+                       const LoadMatrix* committed = nullptr);
 
 /// Routing local search: sweeps accepted requests, moving each onto the
 /// candidate path that minimizes the total ceiled charging cost given the
-/// rest of the schedule, until a sweep makes no move.  Returns the number of
-/// moves.  Never increases cost (and never changes acceptance).  Requests
-/// below `first_mutable` are commitments and are never moved.
+/// rest of the schedule and the `committed` load (optional), until a sweep
+/// makes no move.  Returns the number of moves.  Never increases cost (and
+/// never changes acceptance).
 int reroute_cheaper(const SpmInstance& instance, Schedule& schedule,
-                    int first_mutable = 0);
+                    const LoadMatrix* committed = nullptr);
 
-/// Greedy admission sweep: repeatedly accepts the declined request (at or
-/// past `first_mutable`) whose bid exceeds the marginal ceiled charging
-/// cost of its cheapest candidate path by the largest margin, until no
-/// profitable admission remains.  The complement of prune_unprofitable.
-/// Paths that would push an edge past `edge_capacity` (same convention as
-/// MetisOptions::edge_capacity; nullptr = uncapacitated) are skipped.
-/// Returns the number of requests admitted; every admission strictly
-/// increases evaluate(instance, schedule).profit.
+/// Greedy admission sweep: repeatedly accepts the declined request whose
+/// bid exceeds the marginal ceiled charging cost of its cheapest candidate
+/// path, on top of the schedule's and the `committed` load (optional), by
+/// the largest margin, until no profitable admission remains.  The
+/// complement of prune_unprofitable.  Paths that would push an edge past
+/// `edge_capacity` (same convention as MetisOptions::edge_capacity;
+/// nullptr = uncapacitated) are skipped.  Returns the number of requests
+/// admitted; every admission strictly increases the schedule's profit.
 int admit_profitable(const SpmInstance& instance, Schedule& schedule,
-                     int first_mutable = 0,
+                     const LoadMatrix* committed = nullptr,
                      const std::vector<int>* edge_capacity = nullptr);
 
 /// Runs the full Metis loop.
 MetisResult run_metis(const SpmInstance& instance, Rng& rng,
                       const MetisOptions& options = {});
 
-/// The commitments of the online admission pipeline (sim/online.h).  With
-/// `committed` empty, run_metis_incremental is bit-identical to run_metis —
-/// the anchor the single-batch test pins.
+/// The commitments of the online admission pipeline (sim/online.h): the
+/// requests earlier decides accepted, which are not requests of the
+/// instance being decided.  Each sum runs over the commitments in book
+/// order; the decide's own sums start from it, so every load and revenue
+/// is bit-identical to one over a book the commitments lead.
+/// Default-constructed (no commitments), run_metis_incremental is
+/// bit-identical to run_metis.
 struct IncrementalState {
-  /// Hard commitments: final decisions for the first `committed.size()`
-  /// requests of the instance, in arrival order (path index or kDeclined).
-  /// Committed requests are excluded from re-optimization: accepted ones
-  /// keep their path (their loads move into the LP right-hand sides and
-  /// floor the BW limiter), declined ones stay declined.
-  std::vector<int> committed;
+  /// Per-(edge, slot) load of the commitments (num_edges x num_slots of the
+  /// instance).  It moves into the LP right-hand sides, counts toward every
+  /// charge, and its ceiled peaks floor the BW limiter.  Empty: none.
+  std::optional<LoadMatrix> load;
+  /// Their bids, summed.
+  double revenue = 0;
+  /// Their number.
+  int accepted = 0;
 };
 
-/// Metis over `instance` treating the leading `state.committed.size()`
-/// requests as already decided.  The returned schedule/plan/profit cover
-/// the *whole* instance (commitments included); the caller appends the new
-/// decisions to `state.committed` before the next batch.  A call decides
-/// from its arguments alone: no LP state carries from one call to the next.
+/// Metis over `instance`, every request of which is free, around the
+/// commitments in `state`.  The returned schedule covers the instance
+/// alone; `plan`, `best` and `history[].accepted_after_taa` cover the whole
+/// book, commitments included.  A call decides from its arguments alone:
+/// no LP state carries from one call to the next.
 MetisResult run_metis_incremental(const SpmInstance& instance,
                                   const IncrementalState& state, Rng& rng,
                                   const MetisOptions& options = {});

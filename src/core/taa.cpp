@@ -55,18 +55,12 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
   std::vector<bool> accepted = accepted_in;
   if (accepted.empty()) accepted.assign(instance.num_requests(), true);
 
-  // Online admission: pinned commitments (all-declined / all-zero when the
-  // context is absent, in which case every use below reduces to offline).
-  const IncrementalContext* inc = options.incremental;
-  const LoadMatrix* pinned = inc != nullptr ? inc->committed_loads : nullptr;
-
   TaaResult result;
-  result.schedule = inc != nullptr && inc->committed != nullptr
-                        ? *inc->committed
-                        : Schedule::all_declined(instance.num_requests());
+  result.schedule = Schedule::all_declined(instance.num_requests());
 
   // Step 2: LP relaxation of BL-SPM.
-  const SpmModel model = build_bl_spm(instance, capacities, accepted, pinned);
+  const SpmModel model =
+      build_bl_spm(instance, capacities, accepted, options.committed);
   const lp::SimplexSolver solver(options.lp);
   const lp::LpSolution relaxed =
       solver.solve(model.problem, options.warm_basis);
@@ -82,11 +76,7 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
     r_max = std::max(r_max, instance.request(i).rate);
     v_max = std::max(v_max, instance.request(i).value);
   }
-  if (r_max <= 0 || v_max <= 0) {
-    // Nothing free to schedule; the pinned commitments still earn.
-    result.revenue = revenue(instance, result.schedule);
-    return result;
-  }
+  if (r_max <= 0 || v_max <= 0) return result;  // nothing to schedule
 
   // Step 3: scaling factor mu from inequality (6).
   const int N = instance.num_edges();
@@ -100,11 +90,7 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
                               return best;
                             }()
                           : 0;
-  if (min_cap == 0) {
-    // No bandwidth anywhere: every free request stays declined.
-    result.revenue = revenue(instance, result.schedule);
-    return result;
-  }
+  if (min_cap == 0) return result;  // no bandwidth anywhere: all declined
   double mu = choose_mu(min_cap / r_max, T, N);
   if (mu <= 0) {
     METIS_LOG_DEBUG << "TAA: inequality (6) unsatisfiable, falling back to mu="
@@ -144,11 +130,12 @@ TaaResult run_taa(const SpmInstance& instance, const ChargingPlan& capacities,
   result.revenue_floor = config.i_b * v_max;
 
   // Step 4: derandomized walk down the decision tree.  The load ledger
-  // starts from the pinned loads so the hard feasibility guard accounts for
-  // commitments (the LP already did, via the RHS).
-  LoadMatrix loads = pinned != nullptr
-                         ? *pinned
-                         : LoadMatrix(instance.num_edges(), instance.num_slots());
+  // starts from the committed load so the hard feasibility guard accounts
+  // for commitments (the LP already did, via the RHS).
+  LoadMatrix loads =
+      options.committed != nullptr
+          ? *options.committed
+          : LoadMatrix(instance.num_edges(), instance.num_slots());
   {
     METIS_SPAN("walk");
     PessimisticEstimator estimator(instance, capacities, x_hat, accepted,

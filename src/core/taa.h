@@ -28,8 +28,6 @@
 
 namespace metis::core {
 
-struct IncrementalContext;  // core/lp_builder.h
-
 struct TaaOptions {
   /// Greedy re-admission of walk-declined requests that still fit.
   bool augment = true;
@@ -40,12 +38,11 @@ struct TaaOptions {
   /// back (see Basis in lp/types.h).  Consecutive Metis iterations re-solve
   /// the same-shaped LP with only capacities/acceptance perturbed.
   lp::Basis* warm_basis = nullptr;
-  /// Online admission (see IncrementalState in metis.h): when non-null,
-  /// committed requests are pinned — excluded from the LP (their loads are
-  /// subtracted from the capacity rows' RHS), pre-loaded into the walk's
-  /// feasibility guard, and merged verbatim into the returned schedule.
-  /// Null: plain offline solve.
-  const IncrementalContext* incremental = nullptr;
+  /// Online admission (see IncrementalState in metis.h): the commitments'
+  /// per-(edge, slot) load, subtracted from the capacity rows' RHS and
+  /// pre-loaded into the walk's feasibility guard.  Null: plain offline
+  /// solve.
+  const LoadMatrix* committed = nullptr;
 };
 
 struct TaaResult {

@@ -13,8 +13,9 @@
 //  * CommittedBook — the repair engine.  It owns the (mutable) topology and
 //    the ledger of every request ever admitted, replays fault events against
 //    the committed schedule, and repairs via core::run_metis_incremental:
-//    survivors stay pinned on their reserved paths, victims on dead/shrunk
-//    edges are rerouted or dropped (policy), drops are refunded
+//    survivors keep their reserved paths and enter the re-decide as their
+//    load, victims on dead/shrunk edges are rerouted or dropped (policy),
+//    drops are refunded
 //    (core::RefundLedger), and infeasible repairs retry with bounded
 //    exponential backoff, shedding the lowest-value commitments first.
 //
@@ -103,7 +104,7 @@ std::vector<int> effective_caps(const net::Topology& topo);
 /// The index of each reserved path among its request's candidates in
 /// `instance` (kDeclined where the path is empty).  Every non-empty path
 /// must be a candidate, as it is when `paths` were the instance's
-/// require_paths.
+/// require_paths (CommittedBook::validate, OnlineResult::schedule).
 core::Schedule reserved_schedule(const core::SpmInstance& instance,
                                  const std::vector<net::Path>& paths);
 
@@ -111,9 +112,9 @@ core::Schedule reserved_schedule(const core::SpmInstance& instance,
 enum class RepairPolicy {
   /// Naive baseline: drop every victim immediately (refund each).
   DropAffected,
-  /// Re-enter victims into a repair re-decide (run_metis_incremental with
-  /// survivors pinned): rerouted if a profitable live path exists, dropped
-  /// with refund otherwise.
+  /// Re-enter victims into a repair re-decide (run_metis_incremental
+  /// around the survivors' load): rerouted if a profitable live path
+  /// exists, dropped with refund otherwise.
   Reroute,
 };
 
@@ -186,8 +187,11 @@ class CommittedBook {
   /// must equal this book's (same edges, same epoch).
   void adopt(const core::SpmInstance& instance, const core::Schedule& schedule);
 
-  /// Decides every pending request with run_metis_incremental (survivors
-  /// pinned on their reserved paths, via SpmInstance require_paths).
+  /// Decides every pending request with run_metis_incremental: the
+  /// instance holds the pending requests alone, and the accepted ones
+  /// enter as their load, bids and count (core::IncrementalState), summed
+  /// in book order.  The returned result's schedule covers the pending
+  /// requests in book order; its plan and best cover the whole book.
   /// Pending requests whose endpoints the mutated WAN can no longer connect
   /// are auto-declined (refunded if they were previously committed).  An
   /// infeasible solve triggers the bounded exponential-backoff shed loop.
@@ -265,12 +269,12 @@ class CommittedBook {
   /// first) from every edge whose charged load exceeds the mutated
   /// capacity or that is disabled, until the book physically fits.
   void enforce_capacity();
-  /// One unrepaired solve attempt over survivors + pending.
+  /// One unrepaired solve attempt over the pending requests, around the
+  /// accepted ones' load.
   struct Attempt {
     core::MetisResult result;
     std::vector<std::size_t> entry_of;   ///< instance index -> book index
     std::vector<net::Path> chosen_path;  ///< instance index -> decided path
-    int num_committed = 0;               ///< pinned prefix length
   };
   Attempt attempt_decide(Rng& rng);
 

@@ -9,10 +9,11 @@
 //   2. queues arrivals into batches — flushed when `batch_size` requests
 //      are waiting or the oldest has waited `max_batch_delay` slots,
 //   3. decides each batch through a CommittedBook (sim/faults.h): one
-//      core::run_metis_incremental re-decide with every accepted request
-//      pinned on its reserved path, under the network's per-edge capacity
-//      caps and sharing one net::PathCache.  A decide carries no LP state
-//      from the one before it: its first solves start cold, as offline,
+//      core::run_metis_incremental call over the queued requests alone,
+//      with every accepted request entering as its load on its reserved
+//      path, under the network's per-edge capacity caps and sharing one
+//      net::PathCache.  A decide carries no LP state from the one before
+//      it: its first solves start cold, as offline,
 //   4. interleaves the seeded fault stream, if any, with the arrivals: the
 //      book repairs the commitments a fault hits.  At fault rate 0 the
 //      stream is empty and the same loop sees arrivals only.
@@ -110,6 +111,9 @@ struct OnlineResult {
   /// Aggregate LP work of every decide: the batches' lp_stats plus, with
   /// faults, the repairs'.
   lp::SolveStats lp_stats;
+  /// Lookups of the book's path cache: one per distinct (src, dst) pair of
+  /// each decide's pending requests.  A hit is a pair some decide already
+  /// looked up since the last topology change; a miss runs Yen.
   std::size_t path_cache_hits = 0;
   std::size_t path_cache_misses = 0;
   /// Entries flushed by topology mutations (zero without faults).

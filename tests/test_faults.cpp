@@ -330,6 +330,32 @@ TEST(CommittedBook, PendingFlowAndSurgeDecide) {
   EXPECT_TRUE(book.validate().empty());
 }
 
+TEST(CommittedBook, DecideCoversOnlyThePendingRequests) {
+  // An uncapacitated book holding an adopted decision, then six arrivals:
+  // the decide's schedule lists the six alone, its record covers the whole
+  // book, and no earlier reservation moves.
+  AdoptedBook adopted(16, RepairPolicy::Reroute);
+  CommittedBook& book = adopted.book;
+  ASSERT_GT(book.accepted_count(), 0);
+  const std::vector<net::Path> before = book.reserved_paths();
+  workload::GeneratorConfig wconfig;
+  const workload::RequestGenerator generator(book.topology(), wconfig);
+  Rng rng(77);
+  for (const workload::Request& r : generator.generate_at(2, 6, rng)) {
+    book.add_pending(r);
+  }
+  const core::MetisResult result = book.decide_pending(rng);
+  EXPECT_EQ(result.schedule.path_choice.size(), 6u);
+  EXPECT_EQ(result.best.accepted, book.accepted_count());
+  EXPECT_EQ(result.best.profit, book.evaluate().profit);
+  const std::vector<net::Path> after = book.reserved_paths();
+  ASSERT_EQ(after.size(), before.size() + 6);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i], before[i]) << "entry " << i;
+  }
+  EXPECT_TRUE(book.validate().empty());
+}
+
 OnlineConfig online_config(std::uint64_t seed, double rate,
                            RepairPolicy policy) {
   OnlineConfig config;

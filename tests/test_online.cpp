@@ -108,39 +108,11 @@ TEST(OnlineAdmission, CapacitatedReplayNeverBuysPastLinkCapacity) {
   EXPECT_EQ(result.net_profit, result.profit.profit - result.refunds);
 }
 
-TEST(OnlineAdmission, CommittedPrefixIsPreservedByLaterBatches) {
-  // Core-level statement of "accepted stays accepted": re-running Metis
-  // with the first C decisions pinned returns those decisions verbatim.
-  const OnlineAdmissionSimulator simulator(small_config(11, 10'000));
-  const core::SpmInstance instance = [&] {
-    std::vector<workload::Request> book;
-    for (const auto& a : simulator.arrivals()) book.push_back(a.request);
-    return core::SpmInstance(make_network(simulator.config().base),
-                             std::move(book),
-                             simulator.config().base.instance);
-  }();
-  Rng rng = Rng(11).split(0);
-  const core::MetisResult full = core::run_metis(instance, rng);
-
-  const int pin = instance.num_requests() / 2;
-  core::IncrementalState state;
-  state.committed.assign(full.schedule.path_choice.begin(),
-                         full.schedule.path_choice.begin() + pin);
-  Rng rng2 = Rng(11).split(1);
-  const core::MetisResult redo =
-      core::run_metis_incremental(instance, state, rng2);
-  ASSERT_EQ(redo.schedule.path_choice.size(), full.schedule.path_choice.size());
-  for (int i = 0; i < pin; ++i) {
-    EXPECT_EQ(redo.schedule.path_choice[i], full.schedule.path_choice[i])
-        << "batch re-decide flipped committed request " << i;
-  }
-}
-
 TEST(OnlineAdmission, EmptyCommitmentsReduceToPlainMetis) {
   const core::SpmInstance instance = make_instance(small_config(5, 1).base);
   Rng rng_a(42);
   const core::MetisResult plain = core::run_metis(instance, rng_a);
-  core::IncrementalState state;  // empty committed
+  const core::IncrementalState state;  // no commitments
   Rng rng_b(42);
   const core::MetisResult incremental =
       core::run_metis_incremental(instance, state, rng_b);
