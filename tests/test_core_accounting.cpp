@@ -141,6 +141,25 @@ TEST(Loads, DeclinedRequestsContributeNothing) {
   }
 }
 
+TEST(Loads, BaseLoadIsAddedOntoAndShapeChecked) {
+  const SpmInstance instance = tiny_instance();
+  Schedule s = Schedule::all_declined(3);
+  s.path_choice[0] = 0;  // request 0 on cheap route 0->1->3, slots 0-3
+  const net::EdgeId e01 = instance.topology().find_edge(0, 1);
+  LoadMatrix base(instance.num_edges(), instance.num_slots());
+  base.add(e01, 1, 0.25);
+  base.add(e01, 4, 0.25);
+  const LoadMatrix loads = compute_loads(instance, s, &base);
+  EXPECT_DOUBLE_EQ(loads.at(e01, 1), 0.25 + 0.6);  // base, then request 0
+  EXPECT_DOUBLE_EQ(loads.at(e01, 4), 0.25);        // base alone
+  EXPECT_DOUBLE_EQ(loads.at(e01, 2), compute_loads(instance, s).at(e01, 2));
+  // A base of another shape would be indexed out of bounds.
+  const LoadMatrix too_few_slots(instance.num_edges(), instance.num_slots() - 1);
+  EXPECT_THROW(compute_loads(instance, s, &too_few_slots), std::invalid_argument);
+  const LoadMatrix too_few_edges(instance.num_edges() - 1, instance.num_slots());
+  EXPECT_THROW(compute_loads(instance, s, &too_few_edges), std::invalid_argument);
+}
+
 // ------------------------------------------------------------ ceiling ----
 
 TEST(Charging, CeilsPeakLoads) {
